@@ -5,7 +5,9 @@ must agree (the conditional product rule of one probability space), which
 under symmetric conditioning forces uniform marginals.  Three observables:
 a joint distribution over the 2^3 atoms reproducing all three pairwise
 tables must exist; its necessary three-term correlation inequality and the
-exact linear-feasibility decision are both provided.
+exact feasibility decision are both provided.  For two outcomes the decision
+is closed form (the admissible interval of the triple moment); larger
+alphabets solve a small linear feasibility problem.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .probability import (
 UNIFORM_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
 BELL_TOL = 1e-12
+# Finest bell_scan grid: at most 360 angles per axis (a one-degree step),
+# 360^3 ~ 4.7e7 points.
+MAX_GRID_COUNT = 360
 
 
 @dataclass(frozen=True)
@@ -233,11 +238,50 @@ def _pairwise_constraints(k: int) -> np.ndarray:
 
 _CONSTRAINTS_CACHE: dict[int, np.ndarray] = {}
 
+# The 8 atoms of a k = 2 joint in the order of ``witness.ravel()``: atom
+# 4 i + 2 j + l holds outcome indices (i, j, l) of (a, b, c), and outcome
+# index 0 carries the value +1, index 1 the value -1.
+_SIGNS = np.array([1.0, -1.0])
+_X, _Y, _Z = _SIGNS[(np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1].T
+_XYZ = _X * _Y * _Z
+_MOMENT_SIGNS = np.stack([_X, _Y, _Z, _X * _Y, _Y * _Z, _Z * _X])
+
+
+def _triple_moment_interval(ma, mb, mc, cab, cbc, cca):
+    """Sign atoms of three +-1 observables with means ``ma, mb, mc`` and
+    pairwise product moments ``cab, cbc, cca``.
+
+    Every joint has ``8 p(x, y, z) = base(x, y, z) + t x y z`` with the
+    triple moment ``t = E[abc]`` as its one free parameter, so a joint
+    exists iff some ``t`` in ``[lo, hi]`` keeps all 8 atoms nonnegative,
+    i.e. iff ``lo <= hi`` (Suppes & Zanotti 1981; Fine 1982).  Broadcasts
+    over leading axes; ``base`` gains a trailing axis of 8 atoms.
+    """
+    moments = np.stack(np.broadcast_arrays(ma, mb, mc, cab, cbc, cca), axis=-1)
+    base = 1.0 + moments @ _MOMENT_SIGNS
+    lo = np.max(-base[..., _XYZ > 0], axis=-1)
+    hi = np.min(base[..., _XYZ < 0], axis=-1)
+    return base, lo, hi
+
+
+def _sign_atom_witness(system: PairwiseSystem) -> np.ndarray | None:
+    """Closed-form k = 2 decision: the atoms at the midpoint of the
+    admissible triple-moment interval, or None when it is empty."""
+    tables = (system.joint_ab.entries, system.joint_bc.entries, system.joint_ca.entries)
+    means = [table.sum(axis=1) @ _SIGNS for table in tables]  # a, b, c: chooser-first rows
+    covs = [_SIGNS @ table @ _SIGNS for table in tables]
+    base, lo, hi = _triple_moment_interval(*means, *covs)
+    if lo > hi + FEASIBILITY_TOL:
+        return None
+    return (base + 0.5 * (lo + hi) * _XYZ) / 8.0
+
 
 def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
     """Decide whether one distribution over the k^3 atoms reproduces all
-    three pairwise joints; exact linear feasibility (the atom count is
-    exponential in the number of observables, fine for three)."""
+    three pairwise joints.  Two outcomes: the closed-form triple-moment
+    interval, whose midpoint is the witness; more outcomes: exact linear
+    feasibility by the phase-1 simplex (the atom count is exponential in
+    the number of observables, fine for three)."""
     k = len(system.alphabet)
     if k not in _CONSTRAINTS_CACHE:
         _CONSTRAINTS_CACHE[k] = _pairwise_constraints(k)
@@ -250,7 +294,15 @@ def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
             [1.0],
         ]
     )
-    x = _phase1_simplex(A, b, FEASIBILITY_TOL)
+    if k == 2:
+        x = _sign_atom_witness(system)
+        # held to the simplex's tolerance, so both paths accept the same witnesses
+        if x is not None and (
+            np.max(np.abs(A @ x - b)) > FEASIBILITY_TOL or np.min(x) < -FEASIBILITY_TOL
+        ):
+            x = None
+    else:
+        x = _phase1_simplex(A, b, FEASIBILITY_TOL)
     if x is None:
         return FeasibilityResult(feasible=False, witness=None)
     return FeasibilityResult(feasible=True, witness=x.reshape((k, k, k)))
@@ -277,45 +329,58 @@ def bell_check(system: PairwiseSystem) -> BellReport:
     )
 
 
+def _grid_count(step: float) -> int:
+    """Number of angles per axis of the grid ``{0, step, 2*step, ...}`` over
+    [0, 2*pi), refusing steps whose grid exceeds ``MAX_GRID_COUNT``."""
+    if not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"grid step must be positive and finite, got {step!r}")
+    span = 2.0 * math.pi / step - 1e-12
+    if span > MAX_GRID_COUNT:
+        raise ValidationError(
+            f"grid step {step!r} gives more than {MAX_GRID_COUNT} angles per axis"
+        )
+    return int(math.ceil(span))
+
+
 def bell_scan(step: float) -> Iterator[dict]:
     """Bell reports for uniform-marginal spin systems on the angle grid
-    ``{0, step, 2*step, ...} ^ 3`` over [0, 2*pi)."""
-    if step <= 0:
-        raise ValidationError("grid step must be positive")
-    count = int(math.ceil(2.0 * math.pi / step - 1e-12))
+    ``{0, step, 2*step, ...} ^ 3`` over [0, 2*pi), in the row order and with
+    the values of ``bell_check(spin_system(theta1, theta2, theta3))``.
+
+    Evaluated as arrays one theta1 slab at a time, so memory stays
+    quadratic in the angle count.
+    """
+    count = _grid_count(step)
     angles = [k * step for k in range(count)]
-    unif = uniform_distribution()
-    # joints only depend on angle pairs: cache them across the grid
-    cache: dict[tuple, JointTable] = {}
-
-    def pair_joint(ti: float, tj: float, order: tuple[str, str]) -> JointTable:
-        key = (ti, tj, order)
-        if key not in cache:
-            cache[key] = joint_distribution(unif, spin_transition_matrix(ti, tj), order)
-        return cache[key]
-
-    for t1 in angles:
-        for t2 in angles:
-            joint_ab = pair_joint(t1, t2, ("a", "b"))
-            for t3 in angles:
-                system = PairwiseSystem(
-                    marginal_a=unif,
-                    marginal_b=unif,
-                    marginal_c=unif,
-                    joint_ab=joint_ab,
-                    joint_bc=pair_joint(t2, t3, ("b", "c")),
-                    joint_ca=pair_joint(t3, t1, ("c", "a")),
-                )
-                report = bell_check(system)
+    # spin_transition_matrix's diagonal for the ordered pair (theta_i, theta_j)
+    c = np.array([[math.cos((ti - tj) / 2.0) ** 2 for tj in angles] for ti in angles])
+    # covariance() of the joint [[c, s], [s, c]] / 2: the +-1 signs and the
+    # halving are exact, which leaves this single rounding
+    cov = c - (1.0 - c)
+    cov_rows = cov.tolist()
+    for i1, t1 in enumerate(angles):
+        cov_ab = cov[i1, :, None]  # pair (theta1, theta2), theta2 along axis 0
+        cov_ca = cov[:, i1]  # pair (theta3, theta1), theta3 along the last axis
+        lhs = np.abs(cov_ab - cov)
+        rhs = 1.0 - cov_ca
+        violated = lhs > rhs + BELL_TOL
+        # uniform marginals: the row sums of both rows of each joint are
+        # the same two numbers, so the means are exactly 0
+        _, lo, hi = _triple_moment_interval(0.0, 0.0, 0.0, cov_ab, cov, cov_ca)
+        feasible = lo <= hi + FEASIBILITY_TOL
+        lhs_rows, rhs_row = lhs.tolist(), rhs.tolist()
+        violated_rows, feasible_rows = violated.tolist(), feasible.tolist()
+        for i2, t2 in enumerate(angles):
+            for i3, t3 in enumerate(angles):
                 yield {
                     "theta1": t1,
                     "theta2": t2,
                     "theta3": t3,
-                    "cov_ab": report.cov_ab,
-                    "cov_bc": report.cov_bc,
-                    "cov_ca": report.cov_ca,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "violated": report.violated,
-                    "lp_feasible": report.lp_feasible,
+                    "cov_ab": cov_rows[i1][i2],
+                    "cov_bc": cov_rows[i2][i3],
+                    "cov_ca": cov_rows[i3][i1],
+                    "lhs": lhs_rows[i2][i3],
+                    "rhs": rhs_row[i3],
+                    "violated": violated_rows[i2][i3],
+                    "lp_feasible": feasible_rows[i2][i3],
                 }

@@ -202,6 +202,8 @@ def _cmd_simulate(args) -> str:
 
 
 def _cmd_estimate(args) -> str:
+    if not (math.isfinite(args.window) and 0.0 < args.window <= 1.0):
+        raise ValidationError(f"--window must lie in (0, 1], got {args.window!r}")
     seq = frequency.read_sequence(args.input)
     freqs = frequency.estimate_frequencies(seq)
     out = {

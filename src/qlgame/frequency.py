@@ -86,8 +86,8 @@ def stabilization_report(
     ``window_fraction`` of prefix lengths N and all outcomes beta; the
     sequence counts as stabilized when it does not exceed ``tol``.
     """
-    if not 0.0 < window_fraction < 1.0:
-        raise ValidationError("window_fraction must lie in (0, 1)")
+    if not 0.0 < window_fraction <= 1.0:
+        raise ValidationError("window_fraction must lie in (0, 1]")
     n = len(seq)
     if n < 2.0 / window_fraction:
         raise ValidationError(

@@ -147,6 +147,27 @@ def test_bell_requires_exactly_one_mode(capsys):
     assert code == 1
 
 
+def _assert_single_error(code, out, err, out_path):
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "step",
+    ["nan", "inf", "0", "-0.5", "1e-300", "5e-324",
+     repr(2.0 * math.pi / (ql.classicality.MAX_GRID_COUNT + 1))],
+)
+def test_bell_grid_domain_errors(capsys, tmp_path, step):
+    out_path = tmp_path / "scan.csv"
+    code, out, err = run(capsys, "bell", "--grid", step, "--output", out_path)
+    _assert_single_error(code, out, err, out_path)
+    assert "grid step" in err
+
+
 def test_feasibility_thetas(capsys):
     code, out, _ = run(capsys, "feasibility", "--thetas", "0,0,0")
     assert code == 0
@@ -235,6 +256,29 @@ def test_estimate_with_stabilization(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["stabilization"]["stabilized"] is True
     assert payload["stabilization"]["max_tail_oscillation"] == 0.0
+
+
+@pytest.mark.parametrize("window", ["0", "-0.2", "nan", "inf", "1.5"])
+def test_estimate_window_domain_errors(capsys, tmp_path, window):
+    path = tmp_path / "seq.txt"
+    path.write_text("F\n" * 500)
+    out_path = tmp_path / "estimate.json"
+    code, out, err = run(
+        capsys, "estimate", "--input", path, "--window", window, "--output", out_path
+    )
+    _assert_single_error(code, out, err, out_path)
+    assert "--window" in err
+
+
+def test_estimate_whole_sequence_window(capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text("F\nI\n" * 50)
+    code, out, _ = run(capsys, "estimate", "--input", path, "--window", "1")
+    assert code == 0
+    payload = json.loads(out)
+    # the window covers every prefix, down to the first trial's frequency 1
+    assert payload["stabilization"]["max_tail_oscillation"] == 0.5
+    assert payload["stabilization"]["stabilized"] is False
 
 
 def test_output_file_written_on_success(capsys, d1_file, tmp_path):
