@@ -4,7 +4,12 @@
 Every generator owns a private PCG64 stream keyed by (seed, stream id,
 partition), so trials can be split across partitions and merged in fixed
 order while remaining bit-reproducible for identical (seed, trials,
-partition count).  Sampling is inverse-CDF over the fixed outcome order.
+partition count).  A game report needs only the joint counts of each part,
+whose law for i.i.d. trials is multinomial: per partition the chooser's
+counts are drawn at once, then the tester's answer counts for each chooser
+outcome, so cost and memory do not depend on the number of trials.
+Sequences of single outcomes (:func:`sample_outcomes`) are drawn one
+uniform variate per trial, inverse-CDF over the fixed outcome order.
 """
 
 from __future__ import annotations
@@ -68,11 +73,24 @@ def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> Tri
     return TrialSequence(labels, context_tag=gen.stream_id)
 
 
+# Counts are int64: a larger total cannot be drawn or stored.
+MAX_TRIALS = 2**63 - 1
+
+
 def _partition_sizes(trials: int, partitions: int) -> list[int]:
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if partitions < 1:
         raise ValidationError("partitions must be at least 1")
+    if trials > MAX_TRIALS:
+        raise ValidationError(
+            f"trials ({trials}) must not exceed 2**63 - 1 = {MAX_TRIALS} "
+            f"(partitions {partitions})"
+        )
+    if partitions > trials:
+        raise ValidationError(
+            f"partitions ({partitions}) must not exceed trials ({trials})"
+        )
     base, extra = divmod(trials, partitions)
     return [base + (1 if p < extra else 0) for p in range(partitions)]
 
@@ -103,6 +121,14 @@ def _deviation(empirical: GameAverages, analytic: GameAverages) -> float:
     return worst
 
 
+def _pvals(probs: np.ndarray) -> np.ndarray:
+    """Clip at 0 and renormalise.  Valid inputs may dip below 0 or sum past
+    1 within tolerance (PROB_TOL for distributions, NORM_TOL for the Born
+    probabilities of bases), and ``multinomial`` refuses both."""
+    clipped = np.clip(probs, 0.0, None)
+    return clipped / clipped.sum()
+
+
 def _simulate_part_counts(
     label: str,
     chooser_probs: np.ndarray,
@@ -113,24 +139,24 @@ def _simulate_part_counts(
 ) -> np.ndarray:
     """Counts[chooser, answer] over all partitions, merged in fixed order.
 
-    The chooser generator and each conditional answer generator consume
-    their own streams, so the result equals a trial-by-trial sequential
-    application of the generators in play order.
+    Per partition the chooser counts are one multinomial draw on the
+    chooser stream; each chooser outcome drawn m > 0 times then gets one
+    multinomial draw of m answers on its own conditional answer stream.
+    This has the law of the sequential generators applied trial by trial,
+    at O(n²) work per partition whatever the partition's size.
     """
     n = len(chooser_probs)
+    chooser_pvals = _pvals(chooser_probs)
     counts = np.zeros((n, n), dtype=np.int64)
     for partition, size in enumerate(sizes):
-        if size == 0:
-            continue
         chooser_rng = stream_rng(seed, f"{label}:chooser", partition)
-        chosen = _draw_indices(chooser_probs, chooser_rng, size)
+        chosen = chooser_rng.multinomial(size, chooser_pvals)
         for alpha in range(n):
-            m = int(np.count_nonzero(chosen == alpha))
+            m = int(chosen[alpha])
             if m == 0:
                 continue
             answer_rng = stream_rng(seed, f"{label}:answer|{outcome_tags[alpha]}", partition)
-            answers = _draw_indices(row_probs[alpha], answer_rng, m)
-            counts[alpha] += np.bincount(answers, minlength=n)
+            counts[alpha] += answer_rng.multinomial(m, _pvals(row_probs[alpha]))
     return counts
 
 

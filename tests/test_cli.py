@@ -211,6 +211,21 @@ def test_simulate_deterministic(capsys, d1_file, game_file):
     assert payload["max_deviation"] < 0.1
 
 
+@pytest.mark.parametrize(
+    "trials, partitions",
+    [("10", "1000000000"), ("9223372036854775808", "1"), ("3", "4")],
+)
+def test_simulate_argument_bounds(capsys, d1_file, game_file, tmp_path, trials, partitions):
+    out_path = tmp_path / "simulate.json"
+    code, out, err = run(
+        capsys, "simulate", "--game", game_file, "--context", d1_file,
+        "--trials", trials, "--seed", "1", "--partitions", partitions,
+        "--output", out_path,
+    )
+    _assert_single_error(code, out, err, out_path)
+    assert trials in err and partitions in err
+
+
 def test_simulate_three_player_pairs(capsys, tmp_path):
     thetas = (0.0, 2.0 * math.pi / 3.0, math.pi / 3.0)
     names = ("alice", "bob", "cecilia")
@@ -268,6 +283,28 @@ def test_estimate_window_domain_errors(capsys, tmp_path, window):
     )
     _assert_single_error(code, out, err, out_path)
     assert "--window" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3"])
+def test_estimate_tol_domain_errors(capsys, tmp_path, tol):
+    path = tmp_path / "seq.txt"
+    path.write_text("F\n" * 500)
+    out_path = tmp_path / "estimate.json"
+    code, out, err = run(
+        capsys, "estimate", "--input", path, "--window", "0.2", f"--tol={tol}",
+        "--output", out_path,
+    )
+    _assert_single_error(code, out, err, out_path)
+    assert "--tol" in err
+
+
+def test_estimate_zero_tol(capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text("F\n" * 500)
+    code, out, _ = run(capsys, "estimate", "--input", path, "--window", "0.2", "--tol", "0")
+    assert code == 0
+    stabilization = json.loads(out)["stabilization"]
+    assert stabilization["tol"] == 0.0 and stabilization["stabilized"] is True
 
 
 def test_estimate_whole_sequence_window(capsys, tmp_path):

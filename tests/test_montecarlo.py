@@ -161,3 +161,139 @@ def test_report_json_shape(d1):
         "chooser", "tester", "counts", "empirical_joint", "empirical_averages"
     }
     json.dumps(payload)  # serializable
+
+
+# Count-level sampling: each part's joint counts are drawn from multinomials.
+
+ALMOST_ONE = [1.0 + 5e-13, -5e-13]  # valid at PROB_TOL, refused by raw multinomial
+
+
+def _refused_by_multinomial(pvals):
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).multinomial(10, pvals)
+
+
+def test_simulate_game_tolerance_edge_probabilities():
+    _refused_by_multinomial(ALMOST_ONE)
+    edge = ql.Distribution(ALMOST_ONE)
+    rows = ql.TransitionMatrix([ALMOST_ONE, [0.5, 0.5]])
+    ctx = ql.ContextData(edge, ql.uniform_distribution(), rows, rows)
+    for partitions in (1, 3):
+        report = ql.simulate_game(
+            helpers.zero_sum_spec(), ctx, trials=10**5, seed=4, partitions=partitions
+        )
+        for counts in report.part_counts:
+            assert counts.sum() == 10**5
+        assert report.part_counts[0][0, 0] == 10**5  # the chooser always says F, then F
+
+
+def test_simulate_multidim_tolerance_edge_basis():
+    # b0 and b1 have squared norm 1 + 1.2e-12, inside NORM_TOL, so the Born
+    # rows and columns of the overlap sum past the multinomial's own limit.
+    hi, lo = math.sqrt(0.7 + 6e-13), math.sqrt(0.3 + 6e-13)
+    b3 = ql.OrthonormalBasis([[hi, lo, 0.0], [-lo, hi, 0.0], [0.0, 0.0, 1.0]])
+    a3 = ql.delta_basis(3)
+    overlap = np.abs(b3.vectors @ a3.vectors.conj().T) ** 2
+    _refused_by_multinomial(overlap[0])
+    _refused_by_multinomial(overlap[:, 0])
+    psi = np.full(3, 1.0 / math.sqrt(3.0))
+    h = np.arange(9.0).reshape(3, 3)
+    report = ql.simulate_multidim(psi, a3, b3, h, h, trials=10**5, seed=6, partitions=2)
+    for counts in report.part_counts:
+        assert counts.sum() == 10**5
+        assert counts[:2, 2].sum() == counts[2, :2].sum() == 0
+
+
+def _assert_cells_within_6_se(counts, table, trials):
+    expected = trials * table
+    se = np.sqrt(trials * table * (1.0 - table))
+    assert np.all(np.abs(counts - expected) <= 6.0 * se), (counts, expected)
+
+
+@pytest.mark.parametrize("seed", [3, 29, 811])
+def test_simulate_game_cells_within_6_se(d1, seed):
+    trials = 10**6
+    report = ql.simulate_game(helpers.zero_sum_spec(), d1, trials=trials, seed=seed)
+    tables = (
+        d1.marginal_a.probs[:, None] * d1.trans_b_given_a.rows,
+        d1.marginal_b.probs[:, None] * d1.trans_a_given_b.rows,
+    )
+    for counts, table in zip(report.part_counts, tables):
+        _assert_cells_within_6_se(counts, table, trials)
+
+
+@pytest.mark.parametrize("seed", [3, 29, 811])
+def test_simulate_multidim_cells_within_6_se(seed):
+    rng = np.random.default_rng(1000 + seed)
+    a3 = ql.random_orthonormal_basis(3, rng)
+    b3 = ql.random_orthonormal_basis(3, rng)
+    psi = ql.random_unit_vector(3, rng)
+    trials = 10**6
+    report = ql.simulate_multidim(
+        psi, a3, b3, np.eye(3), np.eye(3), trials=trials, seed=seed, partitions=4
+    )
+    a, b = a3.vectors, b3.vectors
+    ab = np.abs(a.conj() @ b.T) ** 2  # [j, i] = |<a_j|b_i>|^2
+    tables = (
+        np.abs(a.conj() @ psi)[:, None] ** 2 * ab,
+        np.abs(b.conj() @ psi)[:, None] ** 2 * ab.T,
+    )
+    for counts, table in zip(report.part_counts, tables):
+        _assert_cells_within_6_se(counts, table, trials)
+
+
+def test_simulate_game_counts_beyond_memory(d1):
+    # 1e12 trials would need terabytes as per-trial arrays.
+    trials = 10**12
+    report = ql.simulate_game(helpers.zero_sum_spec(), d1, trials=trials, seed=12, partitions=3)
+    for counts in report.part_counts:
+        assert counts.dtype == np.int64
+        assert int(counts.sum()) == trials
+    assert report.max_deviation < 1e-5
+
+
+def test_simulate_game_largest_trial_count(d1):
+    trials = ql.montecarlo.MAX_TRIALS
+    report = ql.simulate_game(helpers.zero_sum_spec(), d1, trials=trials, seed=1)
+    for counts in report.part_counts:
+        assert int(counts.sum()) == trials
+
+
+def test_simulate_reports_repeat_per_partition_count(d1):
+    spec = helpers.zero_sum_spec()
+
+    def text(partitions):
+        report = ql.simulate_game(spec, d1, trials=10**6, seed=77, partitions=partitions)
+        return json.dumps(report_to_json(report))
+
+    assert text(1) == text(1)
+    assert text(5) == text(5)
+    assert text(1) != text(5)
+
+
+@pytest.mark.parametrize(
+    "trials, partitions",
+    [(10, 10**9), (1, 2), (2**63, 1), (2**70, 3)],
+)
+def test_simulation_arguments_bounded(d1, rng, trials, partitions):
+    basis = ql.random_orthonormal_basis(2, rng)
+    runs = (
+        lambda: ql.simulate_game(
+            helpers.zero_sum_spec(), d1, trials=trials, seed=1, partitions=partitions
+        ),
+        lambda: ql.simulate_multidim(
+            np.array([1.0, 0.0]), basis, basis, np.eye(2), np.eye(2),
+            trials=trials, seed=1, partitions=partitions,
+        ),
+    )
+    for run in runs:
+        with pytest.raises(ql.ValidationError) as info:
+            run()
+        assert f"trials ({trials})" in str(info.value) or f"partitions ({partitions})" in str(info.value)
+        assert str(trials) in str(info.value) and str(partitions) in str(info.value)
+
+
+def test_partitions_may_equal_trials(d1):
+    report = ql.simulate_game(helpers.zero_sum_spec(), d1, trials=7, seed=2, partitions=7)
+    for counts in report.part_counts:
+        assert counts.sum() == 7
