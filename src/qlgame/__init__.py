@@ -35,7 +35,6 @@ from .hilbert import (
     delta_basis,
     expand_in_basis,
     expectation,
-    gram_schmidt,
     inner_product,
     random_orthonormal_basis,
     random_unit_vector,
@@ -50,7 +49,6 @@ from .representation import (
     build_representation,
     classify_context,
     interference_coefficients,
-    interference_profile,
     reconstruct_data,
     representation_to_json,
 )

@@ -16,12 +16,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .hilbert import born_probability, expand_in_basis, inner_product, is_unit
+from .hilbert import born_probability, expand_in_basis, inner_product
 from .probability import ContextData, JointTable, ValidationError, joint_distribution
 from .representation import (
     HYPERBOLIC,
     HyperbolicContextError,
     QLRepresentation,
+    born_context,
     build_representation,
 )
 
@@ -339,6 +340,30 @@ def three_player_representations(pair_contexts: PairContexts) -> ThreePlayerRepo
     )
 
 
+def _born_game(psi, a_basis, b_basis, payoff_part1, payoff_part2):
+    """The n-dimensional two-part game as an ordinary game on the n-letter
+    Born context of (psi, a basis, b basis).
+
+    Part 1: player ``a`` chooses, ``b`` tests and is paid ``payoff_part1``;
+    part 2 reverses the roles and pays ``b`` ``payoff_part2``.  Payoff
+    matrices are chooser-first indexed and taken as given, so the sign
+    convention is not checked.
+    """
+    alphabet = tuple(f"o{k}" for k in range(a_basis.dimension))
+    context = born_context(psi, a_basis, b_basis, alphabet)
+    h1, h2 = (
+        PayoffMatrix(h.entries if isinstance(h, PayoffMatrix) else h)
+        for h in (payoff_part1, payoff_part2)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PayoffConventionWarning)
+        spec = GameSpec(
+            ("a", "b"),
+            (GamePart("a", "b", {"b": h1}), GamePart("b", "a", {"b": h2})),
+        )
+    return spec, context
+
+
 def multidim_average(psi, a_basis, b_basis, payoff_part1, payoff_part2) -> float:
     """Two-part tester average in dimension n.
 
@@ -346,25 +371,8 @@ def multidim_average(psi, a_basis, b_basis, payoff_part1, payoff_part2) -> float
     ``|<e_i^b, e_j^a>|^2``.  Part 2 swaps the roles onto the b basis.
     Payoff matrices are chooser-first indexed.
     """
-    psi = np.asarray(psi, dtype=complex)
-    h1 = payoff_part1.entries if isinstance(payoff_part1, PayoffMatrix) else np.asarray(payoff_part1, float)
-    h2 = payoff_part2.entries if isinstance(payoff_part2, PayoffMatrix) else np.asarray(payoff_part2, float)
-    n = psi.size
-    if a_basis.dimension != n or b_basis.dimension != n:
-        raise ValidationError(
-            f"dimension mismatch: psi has {n}, bases have "
-            f"{a_basis.dimension} and {b_basis.dimension}"
-        )
-    if h1.shape != (n, n) or h2.shape != (n, n):
-        raise ValidationError("payoff matrices must be n x n")
-    if not is_unit(psi):
-        raise ValidationError(f"psi has norm {np.linalg.norm(psi):.12g}, expected 1")
-    born_a = np.abs(a_basis.vectors.conj() @ psi) ** 2
-    born_b = np.abs(b_basis.vectors.conj() @ psi) ** 2
-    overlap = np.abs(b_basis.vectors @ a_basis.vectors.conj().T) ** 2  # [i, j]
-    part1 = float(np.sum(h1.T * (born_a[None, :] * overlap)))
-    part2 = float(np.sum(h2 * (born_b[:, None] * overlap)))
-    return part1 + part2
+    spec, context = _born_game(psi, a_basis, b_basis, payoff_part1, payoff_part2)
+    return total_averages(spec, context).totals["b"]
 
 
 def game_to_json(spec: GameSpec) -> dict:

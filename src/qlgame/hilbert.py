@@ -126,33 +126,12 @@ def expand_in_basis(v, basis: OrthonormalBasis) -> np.ndarray:
     return basis.vectors.conj() @ v
 
 
-def reconstruct_from_coefficients(coeffs, basis: OrthonormalBasis) -> np.ndarray:
-    return np.asarray(coeffs, dtype=complex) @ basis.vectors
-
-
-def gram_schmidt(vectors) -> OrthonormalBasis:
-    """Orthonormalize n independent vectors, with one re-orthogonalization
-    pass to keep roundoff below the basis tolerance."""
-    raw = np.array(vectors, dtype=complex)
-    n = raw.shape[0]
-    out = np.zeros_like(raw)
-    for i in range(n):
-        v = raw[i]
-        for _ in range(2):
-            for j in range(i):
-                v = v - np.sum(v * np.conj(out[j])) * out[j]
-        length = np.linalg.norm(v)
-        if length < 1e-12:
-            raise HilbertError(f"vector {i} is linearly dependent on its predecessors")
-        out[i] = v / length
-    return OrthonormalBasis(out)
-
-
 def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
 
 
 def random_orthonormal_basis(n: int, rng: np.random.Generator) -> OrthonormalBasis:
+    """Orthonormalised rows of a complex Gaussian matrix (QR of its transpose)."""
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return gram_schmidt(raw)
+    return OrthonormalBasis(np.linalg.qr(raw.T)[0].T)

@@ -23,12 +23,12 @@ from .frequency import TrialSequence
 from .game import (
     GameAverages,
     GameSpec,
-    PayoffMatrix,
+    _born_game,
     normalize_contexts,
     part_statistics,
     total_averages,
 )
-from .hilbert import OrthonormalBasis, is_unit
+from .hilbert import OrthonormalBasis
 from .probability import Distribution, JointTable, ValidationError
 
 
@@ -75,6 +75,9 @@ def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> Tri
 
 # Counts are int64: a larger total cannot be drawn or stored.
 MAX_TRIALS = 2**63 - 1
+# Every partition seeds its own generator streams, ~0.1 ms for a two-part
+# game, so the count is capped.
+MAX_PARTITIONS = 4096
 
 
 def _partition_sizes(trials: int, partitions: int) -> list[int]:
@@ -86,6 +89,11 @@ def _partition_sizes(trials: int, partitions: int) -> list[int]:
         raise ValidationError(
             f"trials ({trials}) must not exceed 2**63 - 1 = {MAX_TRIALS} "
             f"(partitions {partitions})"
+        )
+    if partitions > MAX_PARTITIONS:
+        raise ValidationError(
+            f"partitions ({partitions}) must not exceed {MAX_PARTITIONS} "
+            f"(trials {trials})"
         )
     if partitions > trials:
         raise ValidationError(
@@ -221,56 +229,12 @@ def simulate_multidim(
     seed: int,
     partitions: int = 1,
 ) -> SimulationReport:
-    """Simulate the n-dimensional two-part game with generator
-    distributions taken from the squared inner products of the state and
-    bases; the empirical tester average converges to the analytic double
-    sum."""
-    psi = np.asarray(psi, dtype=complex)
-    if not is_unit(psi):
-        raise ValidationError(f"psi has norm {np.linalg.norm(psi):.12g}, expected 1")
-    h1 = payoff_part1.entries if isinstance(payoff_part1, PayoffMatrix) else np.asarray(payoff_part1, float)
-    h2 = payoff_part2.entries if isinstance(payoff_part2, PayoffMatrix) else np.asarray(payoff_part2, float)
-    n = psi.size
-    if a_basis.dimension != n or b_basis.dimension != n:
-        raise ValidationError("bases must match the state dimension")
-    sizes = _partition_sizes(trials, partitions)
-
-    unit = psi / np.linalg.norm(psi)
-    born_a = np.abs(a_basis.vectors.conj() @ unit) ** 2
-    born_b = np.abs(b_basis.vectors.conj() @ unit) ** 2
-    overlap = np.abs(b_basis.vectors @ a_basis.vectors.conj().T) ** 2  # [i, j]
-
-    tags = tuple(str(k) for k in range(n))
-    counts1 = _simulate_part_counts(
-        "multidim:part1", born_a, overlap.T, tags, seed, sizes
-    )
-    counts2 = _simulate_part_counts(
-        "multidim:part2", born_b, overlap, tags, seed, sizes
-    )
-    analytic1 = float(np.sum(h1 * (born_a[:, None] * overlap.T)))
-    analytic2 = float(np.sum(h2 * (born_b[:, None] * overlap)))
-    empirical1 = float(np.sum(h1 * counts1 / trials))
-    empirical2 = float(np.sum(h2 * counts2 / trials))
-
-    players = ("b",)
-    empirical = GameAverages.from_parts(({"b": empirical1}, {"b": empirical2}), players)
-    analytic = GameAverages.from_parts(({"b": analytic1}, {"b": analytic2}), players)
-    alphabet = tuple(f"o{k}" for k in range(n))
-    joints = tuple(
-        JointTable(order, counts / trials, alphabet)
-        for order, counts in ((("a", "b"), counts1), (("b", "a"), counts2))
-    )
-    return SimulationReport(
-        trials=trials,
-        seed=seed,
-        partitions=partitions,
-        part_labels=(("a", "b"), ("b", "a")),
-        part_counts=(counts1, counts2),
-        empirical_joints=joints,
-        empirical_averages=empirical,
-        analytic_averages=analytic,
-        max_deviation=_deviation(empirical, analytic),
-    )
+    """Simulate the n-dimensional two-part game: the ordinary game over the
+    n-letter Born context of the state and bases (see
+    :func:`qlgame.game.multidim_average`); the empirical tester average
+    converges to the analytic double sum."""
+    spec, context = _born_game(psi, a_basis, b_basis, payoff_part1, payoff_part2)
+    return simulate_game(spec, context, trials, seed, partitions)
 
 
 def report_to_json(report: SimulationReport) -> dict:

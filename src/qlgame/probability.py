@@ -35,6 +35,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _sum_error(what: str, total: float) -> str:
+    # 12 significant digits print a sum just past PROB_TOL as 1, so the
+    # deviation itself is what names the fault.
+    return f"{what} {_fmt(total)}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite ordered outcome alphabet."""
@@ -59,7 +65,7 @@ class Distribution:
             raise ValidationError(f"probability {_fmt(bad)} outside [0, 1]")
         total = float(probs.sum())
         if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"probabilities sum to {_fmt(total)}, expected 1")
+            raise ValidationError(_sum_error("probabilities sum to", total))
 
     def prob(self, label: str) -> float:
         return float(self.probs[self.alphabet.index(label)])
@@ -98,7 +104,7 @@ class TransitionMatrix:
         sums = rows.sum(axis=1)
         for i, s in enumerate(sums):
             if abs(s - 1.0) > PROB_TOL:
-                raise ValidationError(f"row {i} sums to {_fmt(float(s))}, expected 1")
+                raise ValidationError(_sum_error(f"row {i} sums to", float(s)))
 
     def prob(self, result: str, given: str) -> float:
         return float(self.rows[self.alphabet.index(given), self.alphabet.index(result)])
@@ -239,7 +245,7 @@ class JointTable:
             raise ValidationError("joint probabilities must lie in [0, 1]")
         total = float(entries.sum())
         if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"joint probabilities sum to {_fmt(total)}, expected 1")
+            raise ValidationError(_sum_error("joint probabilities sum to", total))
 
     def prob(self, first: str, second: str) -> float:
         i = self.alphabet.index(first)

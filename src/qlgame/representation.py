@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import OrthonormalBasis, delta_basis
+from .hilbert import NORM_TOL, OrthonormalBasis, delta_basis
 from .probability import ContextData, Distribution, TransitionMatrix, ValidationError
 
 TRIGONOMETRIC = "trigonometric"
@@ -125,14 +125,6 @@ def classify_context(lambdas) -> str:
     return TRIGONOMETRIC if float(np.max(np.abs(lambdas))) <= 1.0 else HYPERBOLIC
 
 
-def interference_profile(data: ContextData) -> InterferenceProfile:
-    """Coefficients, classification, and (for trigonometric data) the phases."""
-    lambdas = interference_coefficients(data)
-    classification = classify_context(lambdas)
-    thetas = _select_phases(lambdas) if classification == TRIGONOMETRIC else None
-    return InterferenceProfile(lambdas, classification, thetas)
-
-
 def _phase_gap(theta2: float, theta1: float) -> float:
     return abs(math.remainder(theta2 - theta1 - math.pi, 2.0 * math.pi))
 
@@ -195,19 +187,50 @@ def build_representation(data: ContextData) -> QLRepresentation:
     return rep
 
 
+def born_tables(psi, a_basis: OrthonormalBasis, b_basis: OrthonormalBasis):
+    """Born probabilities ``|<psi, e^a_alpha>|^2`` and ``|<psi, e^b_beta>|^2``
+    plus ``trans[alpha, beta] = |<e^a_alpha, e^b_beta>|^2``.
+
+    Symmetric conditioning is automatic because |<x, y>| = |<y, x>|.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1 or a_basis.dimension != psi.size or b_basis.dimension != psi.size:
+        raise ValidationError(
+            f"dimension mismatch: psi has shape {psi.shape}, bases have "
+            f"{a_basis.dimension} and {b_basis.dimension}"
+        )
+    length = float(np.linalg.norm(psi))
+    if not abs(length - 1.0) <= NORM_TOL:
+        raise ValidationError(f"psi has norm {length:.12g}, expected 1")
+    born_a = np.abs(a_basis.vectors.conj() @ psi) ** 2
+    born_b = np.abs(b_basis.vectors.conj() @ psi) ** 2
+    trans = np.abs(a_basis.vectors @ b_basis.vectors.conj().T) ** 2
+    return born_a, born_b, trans
+
+
+def born_context(
+    psi, a_basis: OrthonormalBasis, b_basis: OrthonormalBasis, alphabet
+) -> ContextData:
+    """The context whose probabilities are the renormalised Born tables."""
+    born_a, born_b, trans = born_tables(psi, a_basis, b_basis)
+    return ContextData(
+        marginal_a=Distribution(born_a / born_a.sum(), alphabet),
+        marginal_b=Distribution(born_b / born_b.sum(), alphabet),
+        trans_b_given_a=TransitionMatrix(trans / trans.sum(axis=1, keepdims=True), alphabet),
+        trans_a_given_b=TransitionMatrix(trans.T / trans.T.sum(axis=1, keepdims=True), alphabet),
+    )
+
+
 def _verify_round_trip(rep: QLRepresentation) -> None:
     psi, data = rep.psi, rep.source
     if abs(np.linalg.norm(psi) - 1.0) > PHASE_TOL:
         raise ValidationError(f"constructed state has norm {np.linalg.norm(psi):.12g}")
-    checks = [
-        np.abs(np.abs(rep.b_basis.vectors.conj() @ psi) ** 2 - data.marginal_b.probs),
-        np.abs(np.abs(rep.a_basis.vectors.conj() @ psi) ** 2 - data.marginal_a.probs),
-        np.abs(
-            np.abs(rep.a_basis.vectors @ rep.b_basis.vectors.conj().T) ** 2
-            - data.trans_b_given_a.rows
-        ),
-    ]
-    worst = max(float(np.max(c)) for c in checks)
+    born_a, born_b, trans = born_tables(psi, rep.a_basis, rep.b_basis)
+    worst = max(
+        float(np.max(np.abs(born_b - data.marginal_b.probs))),
+        float(np.max(np.abs(born_a - data.marginal_a.probs))),
+        float(np.max(np.abs(trans - data.trans_b_given_a.rows))),
+    )
     if worst > PHASE_TOL:
         raise ValidationError(
             f"representation fails the probability round-trip by {worst:.3g}"
@@ -216,19 +239,7 @@ def _verify_round_trip(rep: QLRepresentation) -> None:
 
 def reconstruct_data(rep: QLRepresentation) -> ContextData:
     """Recover the context from the representation via squared inner products."""
-    psi = rep.psi
-    marginal_b = np.abs(rep.b_basis.vectors.conj() @ psi) ** 2
-    marginal_a = np.abs(rep.a_basis.vectors.conj() @ psi) ** 2
-    # trans[alpha, beta] = |<e_beta^b, e_alpha^a>|^2; symmetric conditioning
-    # is automatic because |<x, y>| = |<y, x>|.
-    trans = np.abs(rep.a_basis.vectors @ rep.b_basis.vectors.conj().T) ** 2
-    alphabet = rep.source.alphabet
-    return ContextData(
-        marginal_a=Distribution(marginal_a / marginal_a.sum(), alphabet),
-        marginal_b=Distribution(marginal_b / marginal_b.sum(), alphabet),
-        trans_b_given_a=TransitionMatrix(trans / trans.sum(axis=1, keepdims=True), alphabet),
-        trans_a_given_b=TransitionMatrix(trans.T / trans.T.sum(axis=1, keepdims=True), alphabet),
-    )
+    return born_context(rep.psi, rep.a_basis, rep.b_basis, rep.source.alphabet)
 
 
 def _complex_pairs(values) -> list[list[float]]:

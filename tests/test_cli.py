@@ -213,7 +213,12 @@ def test_simulate_deterministic(capsys, d1_file, game_file):
 
 @pytest.mark.parametrize(
     "trials, partitions",
-    [("10", "1000000000"), ("9223372036854775808", "1"), ("3", "4")],
+    [
+        ("10", "1000000000"),
+        ("9223372036854775808", "1"),
+        ("3", "4"),
+        ("1000000000", "1000000000"),
+    ],
 )
 def test_simulate_argument_bounds(capsys, d1_file, game_file, tmp_path, trials, partitions):
     out_path = tmp_path / "simulate.json"

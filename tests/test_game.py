@@ -238,6 +238,33 @@ def test_multidim_dimension_mismatch(rng):
         ql.multidim_average(ql.random_unit_vector(3, rng), a3, b4, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
+def test_multidim_raw_payoffs_raise_no_convention_warning(rng):
+    a3 = ql.random_orthonormal_basis(3, rng)
+    b3 = ql.random_orthonormal_basis(3, rng)
+    psi = ql.random_unit_vector(3, rng)
+    h1, h2 = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ql.multidim_average(psi, a3, b3, h1, h2)
+    assert math.isfinite(value)
+
+
+def test_multidim_rejects_nan_payoff(rng):
+    basis = ql.random_orthonormal_basis(2, rng)
+    h = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ql.ValidationError, match="finite"):
+        ql.multidim_average(np.array([1.0, 0.0]), basis, basis, np.eye(2), h)
+
+
+def test_multidim_tolerance_edge_basis_is_finite():
+    # Same basis as the simulation test: squared norms 1 + 1.2e-12, inside NORM_TOL.
+    hi, lo = math.sqrt(0.7 + 6e-13), math.sqrt(0.3 + 6e-13)
+    b3 = ql.OrthonormalBasis([[hi, lo, 0.0], [-lo, hi, 0.0], [0.0, 0.0, 1.0]])
+    psi = np.full(3, 1.0 / math.sqrt(3.0))
+    h = np.arange(9.0).reshape(3, 3)
+    assert math.isfinite(ql.multidim_average(psi, ql.delta_basis(3), b3, h, h))
+
+
 def test_game_spec_json_round_trip():
     spec = helpers.zero_sum_spec()
     with warnings.catch_warnings():

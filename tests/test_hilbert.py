@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qlgame as ql
-from qlgame.hilbert import HilbertError, norm, reconstruct_from_coefficients
+from qlgame.hilbert import HilbertError, norm
 
 
 def test_inner_product_delta_vectors():
@@ -84,7 +84,7 @@ def test_reconstruction_and_parseval(n, rng):
         basis = ql.random_orthonormal_basis(n, rng)
         v = ql.random_unit_vector(n, rng)
         coeffs = ql.expand_in_basis(v, basis)
-        assert np.max(np.abs(reconstruct_from_coefficients(coeffs, basis) - v)) < 1e-10
+        assert np.max(np.abs(coeffs @ basis.vectors - v)) < 1e-10
         assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(
             abs(ql.inner_product(v, v)), abs=1e-10
         )
@@ -98,18 +98,6 @@ def test_expectation_global_phase_invariance(rng):
     assert ql.expectation(obs, rotated) == pytest.approx(
         ql.expectation(obs, state), abs=1e-12
     )
-
-
-def test_gram_schmidt_orthonormalizes(rng):
-    raw = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    basis = ql.gram_schmidt(raw)
-    gram = basis.vectors @ basis.vectors.conj().T
-    assert np.max(np.abs(gram - np.eye(6))) < 1e-12
-
-
-def test_gram_schmidt_rejects_dependent_vectors():
-    with pytest.raises(HilbertError, match="dependent"):
-        ql.gram_schmidt(np.array([[1.0, 0.0], [2.0, 0.0]], dtype=complex))
 
 
 def test_orthonormal_basis_rejects_skewed():

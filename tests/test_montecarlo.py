@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,35 @@ def test_simulate_multidim_rejects_non_unit(rng):
         )
 
 
+def test_simulate_multidim_raw_payoffs_raise_no_convention_warning(rng):
+    a3 = ql.random_orthonormal_basis(3, rng)
+    b3 = ql.random_orthonormal_basis(3, rng)
+    psi = ql.random_unit_vector(3, rng)
+    h1, h2 = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ql.simulate_multidim(psi, a3, b3, h1, h2, trials=1000, seed=3)
+
+
+def test_simulate_multidim_rejects_nan_payoff(rng):
+    basis = ql.random_orthonormal_basis(2, rng)
+    h = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ql.ValidationError, match="finite"):
+        ql.simulate_multidim(
+            np.array([1.0, 0.0]), basis, basis, h, np.eye(2), trials=10, seed=1
+        )
+
+
+def test_simulate_multidim_reports_both_players(rng):
+    basis = ql.random_orthonormal_basis(2, rng)
+    report = ql.simulate_multidim(
+        np.array([1.0, 0.0]), basis, basis, np.eye(2), np.eye(2), trials=10, seed=1
+    )
+    assert report.part_labels == (("a", "b"), ("b", "a"))
+    assert report.empirical_averages.totals["a"] == 0.0
+    assert report.empirical_joints[0].alphabet == ("o0", "o1")
+
+
 def test_report_json_shape(d1):
     report = ql.simulate_game(helpers.zero_sum_spec(), d1, trials=100, seed=1)
     payload = report_to_json(report)
@@ -273,7 +303,7 @@ def test_simulate_reports_repeat_per_partition_count(d1):
 
 @pytest.mark.parametrize(
     "trials, partitions",
-    [(10, 10**9), (1, 2), (2**63, 1), (2**70, 3)],
+    [(10, 10**9), (1, 2), (2**63, 1), (2**70, 3), (10**9, 10**9)],
 )
 def test_simulation_arguments_bounded(d1, rng, trials, partitions):
     basis = ql.random_orthonormal_basis(2, rng)

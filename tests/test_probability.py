@@ -124,3 +124,25 @@ def test_context_json_round_trip(d1):
 def test_joint_table_rejects_bad_total():
     with pytest.raises(ql.ValidationError, match="sum"):
         ql.JointTable(("a", "b"), [[0.5, 0.5], [0.5, 0.5]])
+
+
+# Sums just past PROB_TOL print as 1 at 12 significant digits, so the
+# message has to name the deviation itself.
+PAST_TOL = [0.7 + 6e-13, 0.3 + 6e-13, 0.0]  # sums to 1 + 1.2e-12
+
+
+def test_distribution_sum_error_names_deviation():
+    with pytest.raises(ql.ValidationError, match=r"sum - 1 = 1\.2e-12, beyond PROB_TOL = 1e-12"):
+        ql.Distribution(PAST_TOL, ("x", "y", "z"))
+
+
+def test_transition_sum_error_names_deviation():
+    rows = [PAST_TOL, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    with pytest.raises(ql.ValidationError, match=r"row 0 sums to 1: sum - 1 = 1\.2e-12"):
+        ql.TransitionMatrix(rows, ("x", "y", "z"))
+
+
+def test_joint_sum_error_names_deviation():
+    entries = [[0.7 + 6e-13, 0.3 + 6e-13], [0.0, 0.0]]
+    with pytest.raises(ql.ValidationError, match=r"sum - 1 = 1\.2e-12, beyond PROB_TOL"):
+        ql.JointTable(("a", "b"), entries)

@@ -5,7 +5,7 @@ import pytest
 
 import qlgame as ql
 import helpers
-from qlgame.representation import _select_phases
+from qlgame.representation import _select_phases, born_tables
 
 SQRT6_OVER_12 = math.sqrt(6.0) / 12.0
 
@@ -153,6 +153,21 @@ def test_round_trip_property_over_random_contexts(rng):
         assert (
             np.max(np.abs(back.trans_b_given_a.rows - ctx.trans_b_given_a.rows)) < 1e-10
         )
+
+
+@pytest.mark.parametrize(
+    "psi, match",
+    [
+        (np.full(3, 1.0 / math.sqrt(3.0)), "dimension"),
+        (np.eye(2), "dimension"),
+        (np.array([1.0, 1.0]), "norm"),
+        (np.array([np.nan, 0.0]), "norm"),
+    ],
+)
+def test_born_tables_refusals(psi, match):
+    basis = ql.delta_basis(2)
+    with pytest.raises(ql.ValidationError, match=match):
+        born_tables(psi, basis, basis)
 
 
 def test_lambda_antisymmetry_under_r1(rng):
