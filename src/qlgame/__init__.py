@@ -28,13 +28,11 @@ from .frequency import (
     stabilization_report,
 )
 from .hilbert import (
-    DiagonalObservable,
     HilbertError,
     OrthonormalBasis,
     born_probability,
     delta_basis,
     expand_in_basis,
-    expectation,
     inner_product,
     random_orthonormal_basis,
     random_unit_vector,

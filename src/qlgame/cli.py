@@ -30,12 +30,11 @@ from .probability import (
 )
 from .representation import (
     HyperbolicContextError,
-    PhaseConstraintError,
     build_representation,
     representation_to_json,
 )
 
-DOMAIN_ERRORS = (ValidationError, HyperbolicContextError, PhaseConstraintError, HilbertError)
+DOMAIN_ERRORS = (ValidationError, HyperbolicContextError, HilbertError)
 
 CSV_COLUMNS = (
     "theta1", "theta2", "theta3",

@@ -16,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .hilbert import born_probability, expand_in_basis, inner_product
+from .hilbert import born_probability
 from .probability import ContextData, JointTable, ValidationError, joint_distribution
 from .representation import (
     HYPERBOLIC,
@@ -254,15 +254,14 @@ def zero_sum_symmetric_average(rep: QLRepresentation, tester_payoff_part1: Payof
 def interference_average(rep: QLRepresentation, tester_payoff_part1: PayoffMatrix) -> float:
     """Same factored total, but with the second projection expanded through
     the basis-superposition coefficients and an explicit cosine cross term."""
-    psi = rep.psi
     born_a, _, trans = _born_profile(rep)
-    proj_a = np.array([inner_product(psi, v) for v in rep.a_basis.vectors])
-    born_b_expanded = np.empty(len(born_a))
-    for x in range(len(born_a)):
-        coeff = expand_in_basis(rep.b_basis.vectors[x], rep.a_basis)
-        z = np.conj(coeff) * proj_a
-        cross = 2.0 * np.abs(z[0]) * np.abs(z[1]) * np.cos(np.angle(z[0]) - np.angle(z[1]))
-        born_b_expanded[x] = abs(z[0]) ** 2 + abs(z[1]) ** 2 + cross
+    a_conj = rep.a_basis.vectors.conj()
+    proj_a = a_conj @ rep.psi  # <psi, e^a_k>
+    coeffs = rep.b_basis.vectors @ a_conj.T  # coeffs[x, k] = <e^b_x, e^a_k>
+    z = coeffs.conj() * proj_a
+    z0, z1 = z[:, 0], z[:, 1]
+    cross = 2.0 * np.abs(z0) * np.abs(z1) * np.cos(np.angle(z0) - np.angle(z1))
+    born_b_expanded = np.abs(z0) ** 2 + np.abs(z1) ** 2 + cross
     h = tester_payoff_part1.entries
     row_payoff = np.sum(h * trans, axis=1)
     return float(np.sum((born_a - born_b_expanded) * row_payoff))
@@ -298,12 +297,9 @@ def _cycle_order(keys) -> list[tuple[str, str]]:
 
 
 def _basis_map_unitary(source_vectors: np.ndarray, target_vectors: np.ndarray) -> np.ndarray:
-    """Unitary sending the k-th source basis vector to the k-th target one."""
-    n = source_vectors.shape[0]
-    u = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        u += np.outer(target_vectors[k], np.conj(source_vectors[k]))
-    return u
+    """Unitary ``sum_k |target_k><source_k|`` sending the k-th source basis
+    vector to the k-th target one."""
+    return target_vectors.T @ source_vectors.conj()
 
 
 def three_player_representations(pair_contexts: PairContexts) -> ThreePlayerReport:

@@ -2,9 +2,8 @@
 
 Only what the probability representation needs: the Hermitian inner
 product (linear in the first argument, conjugate-linear in the second),
-squared-modulus probabilities, diagonal-operator expectations and basis
-expansions.  Pure states are unit vectors; observables are diagonal in
-some orthonormal basis.
+squared-modulus probabilities and basis expansions.  Pure states are unit
+vectors; each observable is an orthonormal basis of its outcomes.
 """
 
 from __future__ import annotations
@@ -56,6 +55,8 @@ class OrthonormalBasis:
         vectors = np.array(self.vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise HilbertError(f"expected n vectors of dimension n, got {vectors.shape}")
+        if not np.all(np.isfinite(vectors)):
+            raise HilbertError("basis vectors must be finite")
         gram = vectors @ vectors.conj().T
         if np.max(np.abs(gram - np.eye(vectors.shape[0]))) > NORM_TOL:
             raise HilbertError("vectors are not orthonormal")
@@ -77,28 +78,6 @@ def delta_basis(n: int) -> OrthonormalBasis:
     return OrthonormalBasis(np.eye(n, dtype=complex))
 
 
-@dataclass(frozen=True)
-class DiagonalObservable:
-    """Observable diagonal in ``basis`` with real eigenvalues."""
-
-    basis: OrthonormalBasis
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        eig = np.array(self.eigenvalues, dtype=float)
-        if eig.shape != (self.basis.dimension,):
-            raise HilbertError("need one eigenvalue per basis vector")
-        if not np.all(np.isfinite(eig)):
-            raise HilbertError("eigenvalues must be finite")
-        eig.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", eig)
-
-    def matrix(self) -> np.ndarray:
-        """Dense matrix ``sum_k lambda_k |e_k><e_k|``."""
-        vecs = self.basis.vectors
-        return (vecs.T * self.eigenvalues) @ vecs.conj()
-
-
 def born_probability(state, basis_vector) -> float:
     """Squared modulus ``|<state, basis_vector>|^2`` for unit-norm inputs."""
     if not is_unit(state):
@@ -106,16 +85,6 @@ def born_probability(state, basis_vector) -> float:
     if not is_unit(basis_vector):
         raise HilbertError(f"basis vector has norm {norm(basis_vector):.12g}, expected 1")
     return abs(inner_product(state, basis_vector)) ** 2
-
-
-def expectation(observable: DiagonalObservable, state) -> float:
-    """``sum_k lambda_k |<state, e_k>|^2`` — the diagonal-operator average."""
-    return float(
-        sum(
-            lam * born_probability(state, observable.basis[k])
-            for k, lam in enumerate(observable.eigenvalues)
-        )
-    )
 
 
 def expand_in_basis(v, basis: OrthonormalBasis) -> np.ndarray:

@@ -41,6 +41,14 @@ def _sum_error(what: str, total: float) -> str:
     return f"{what} {_fmt(total)}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
 
 
+def _labels(alphabet) -> tuple[str, ...]:
+    labels = tuple(alphabet)
+    if len(set(labels)) != len(labels):
+        repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
+        raise ValidationError(f"outcome label {repeated!r} is repeated in the alphabet")
+    return labels
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite ordered outcome alphabet."""
@@ -51,7 +59,7 @@ class Distribution:
     def __post_init__(self):
         probs = _frozen(self.probs)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "alphabet", _labels(self.alphabet))
         if probs.ndim != 1 or probs.size != len(self.alphabet):
             raise ValidationError(
                 f"expected {len(self.alphabet)} probabilities, got shape {probs.shape}"
@@ -93,7 +101,7 @@ class TransitionMatrix:
     def __post_init__(self):
         rows = _frozen(self.rows)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "alphabet", _labels(self.alphabet))
         n = len(self.alphabet)
         if rows.shape != (n, n):
             raise ValidationError(f"expected a {n}x{n} matrix, got shape {rows.shape}")
@@ -186,7 +194,10 @@ def validate_context_data(raw) -> ContextData:
     missing = [k for k in _CONTEXT_KEYS if k not in raw]
     if missing:
         raise ValidationError(f"missing context component(s): {', '.join(missing)}")
-    alphabet = tuple(raw.get("alphabet", ALPHABET))
+    alphabet = raw.get("alphabet", ALPHABET)
+    if not isinstance(alphabet, (list, tuple)) or not all(isinstance(x, str) for x in alphabet):
+        raise ValidationError(f"alphabet must be a list of string labels, got {alphabet!r}")
+    alphabet = _labels(alphabet)
 
     def build(key, cls):
         try:
@@ -235,7 +246,7 @@ class JointTable:
         entries = _frozen(self.entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "alphabet", tuple(self.alphabet))
+        object.__setattr__(self, "alphabet", _labels(self.alphabet))
         n = len(self.alphabet)
         if entries.shape != (n, n):
             raise ValidationError(f"expected a {n}x{n} joint table, got {entries.shape}")

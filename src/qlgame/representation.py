@@ -3,11 +3,12 @@
 For a context with symmetric conditioning and strictly positive
 probabilities, the deviation of each marginal from the total-probability
 prediction defines an interference coefficient lambda.  When every
-|lambda| <= 1 the context admits a cosine parametrization: phases are
-chosen with arccos, the amplitude is assembled from the square roots of
-the products of probabilities, and the second observable's basis follows
-from the same phases.  Squared inner products then return every input
-probability.
+|lambda| <= 1 the context admits a cosine parametrization: symmetric
+conditioning makes lambda_2 = -lambda_1, so theta_1 = arccos(lambda_1) and
+theta_2 = theta_1 + pi, the amplitude is assembled from the square roots
+of the products of probabilities, and the second observable's basis
+follows from the same phases.  Squared inner products then return every
+input probability.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import NORM_TOL, OrthonormalBasis, delta_basis
-from .probability import ContextData, Distribution, TransitionMatrix, ValidationError
+from .probability import PROB_TOL, ContextData, Distribution, TransitionMatrix, ValidationError
 
 TRIGONOMETRIC = "trigonometric"
 HYPERBOLIC = "hyperbolic"
 
-# Tolerance for the phase-difference constraint theta_2 - theta_1 = pi (mod 2pi)
-# and for the Born-rule round-trip checks.
+# Tolerance of the Born-rule round-trip check.
 PHASE_TOL = 1e-10
 
 
@@ -33,7 +33,7 @@ class HyperbolicContextError(ValueError):
 
 
 class PhaseConstraintError(ValueError):
-    """No arccos branch satisfies the pi phase-difference constraint."""
+    """Kept for callers that name it; the closed-form phases never raise it."""
 
 
 @dataclass(frozen=True)
@@ -114,43 +114,36 @@ def _zero_entry_message(data: ContextData) -> str:
 
 
 def classify_context(lambdas) -> str:
-    """``trigonometric`` iff every |lambda| <= 1, else ``hyperbolic``.
+    """``trigonometric`` iff every |lambda| <= 1 + PROB_TOL, else ``hyperbolic``.
 
     The boundary |lambda| = 1 counts as trigonometric with degenerate phase
-    0 or pi.
+    0 or pi, also when rounding puts it just outside.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if not np.all(np.isfinite(lambdas)):
         raise ValidationError("interference coefficients must be finite")
-    return TRIGONOMETRIC if float(np.max(np.abs(lambdas))) <= 1.0 else HYPERBOLIC
-
-
-def _phase_gap(theta2: float, theta1: float) -> float:
-    return abs(math.remainder(theta2 - theta1 - math.pi, 2.0 * math.pi))
+    return TRIGONOMETRIC if float(np.max(np.abs(lambdas))) <= 1.0 + PROB_TOL else HYPERBOLIC
 
 
 def _select_phases(lambdas: np.ndarray) -> np.ndarray:
-    """theta_1 = arccos(lambda_1) in [0, pi]; theta_2 on whichever arccos
-    branch puts the difference at pi (mod 2pi)."""
-    clipped = np.clip(lambdas, -1.0, 1.0)
-    theta1 = math.acos(clipped[0])
-    principal = math.acos(clipped[1])
-    for candidate in (principal, 2.0 * math.pi - principal):
-        if _phase_gap(candidate, theta1) <= PHASE_TOL:
-            return np.array([theta1, candidate])
-    raise PhaseConstraintError(
-        "phase constraint unsatisfiable: no arccos branch gives "
-        f"theta_2 - theta_1 = pi (mod 2pi) for lambdas {lambdas.tolist()}"
-    )
+    """theta_1 = arccos(lambda_1) in [0, pi] and theta_2 = theta_1 + pi,
+    because symmetric conditioning makes lambda_2 = -lambda_1."""
+    theta1 = math.acos(min(1.0, max(-1.0, float(lambdas[0]))))
+    return np.array([theta1, theta1 + math.pi])
 
 
 def build_representation(data: ContextData) -> QLRepresentation:
     """Construct state and bases whose squared inner products return the data.
 
-    Requires symmetric conditioning, strict positivity and a trigonometric
-    classification; hyperbolic contexts are rejected, never silently
-    represented.
+    Requires two outcomes, symmetric conditioning, strict positivity and a
+    trigonometric classification; hyperbolic contexts are rejected, never
+    silently represented.
     """
+    if len(data.alphabet) != 2:
+        raise ValidationError(
+            "the amplitude reconstruction needs a two-outcome alphabet, got "
+            f"{len(data.alphabet)} outcomes"
+        )
     if not data.r1_symmetric:
         raise ValidationError(
             "symmetric conditioning (R1) required: transition matrices are "
@@ -158,9 +151,10 @@ def build_representation(data: ContextData) -> QLRepresentation:
         )
     lambdas = interference_coefficients(data)
     if classify_context(lambdas) == HYPERBOLIC:
+        largest = float(np.max(np.abs(lambdas)))
         raise HyperbolicContextError(
-            "hyperbolic context: no trigonometric representation "
-            f"(max |lambda| = {float(np.max(np.abs(lambdas))):.12g} > 1)"
+            "hyperbolic context: no trigonometric representation (max |lambda| = "
+            f"{largest:.12g}: |lambda| - 1 = {largest - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g})"
         )
     thetas = _select_phases(lambdas)
     profile = InterferenceProfile(lambdas, TRIGONOMETRIC, thetas)

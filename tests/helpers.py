@@ -49,6 +49,12 @@ def symmetric_context(p: float, q: float, r: float) -> ql.ContextData:
     )
 
 
+def b_marginal_for_lambda(p: float, q: float, lam: float) -> float:
+    """p_b(F) that gives ``symmetric_context(p, q, .)`` the first
+    interference coefficient ``lam``: pq + (1-p)(1-q) + 2 lam sqrt(pq(1-p)(1-q))."""
+    return p * q + (1.0 - p) * (1.0 - q) + 2.0 * lam * np.sqrt(p * q * (1.0 - p) * (1.0 - q))
+
+
 def random_trig_context(rng: np.random.Generator, min_prob: float = 0.02) -> ql.ContextData:
     """Rejection-sample a strictly positive, symmetrically conditioned
     context whose interference coefficients stay in [-1, 1]."""

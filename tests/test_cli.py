@@ -1,7 +1,13 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qlgame as ql
 import helpers
@@ -65,6 +71,41 @@ def test_qlra_hyperbolic_exits_1_writes_nothing(capsys, tmp_path):
     code, out, err = run(capsys, "qlra", "--input", src, "--output", out_path)
     assert code == 1
     assert "hyperbolic context" in err
+    assert not out_path.exists()
+
+
+THREE_OUTCOMES = {
+    "alphabet": ["F", "I", "X"],
+    "marginal_a": [0.2, 0.3, 0.5],
+    "marginal_b": [0.4, 0.35, 0.25],
+    "trans_b_given_a": [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]],
+    "trans_a_given_b": [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]],
+}
+
+
+def test_qlra_refuses_three_outcome_alphabet(capsys, tmp_path):
+    src = tmp_path / "three.json"
+    src.write_text(json.dumps(THREE_OUTCOMES))
+    assert run(capsys, "validate", "--input", src)[0] == 0  # strictly positive, R1
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "qlra", "--input", src, "--output", out_path)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [
+        "error: the amplitude reconstruction needs a two-outcome alphabet, got 3 outcomes"
+    ]
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "qlra"])
+def test_repeated_labels_refused(capsys, tmp_path, command):
+    src = tmp_path / "repeated.json"
+    src.write_text(json.dumps(dict(helpers.D1_RAW, alphabet=["F", "F"])))
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, command, "--input", src, "--output", out_path)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: outcome label 'F' is repeated in the alphabet"]
     assert not out_path.exists()
 
 
@@ -346,3 +387,83 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "validate", "--input", path)
     assert code == 2
+
+
+CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")
+
+
+@st.composite
+def context_documents(draw):
+    """A strictly positive R1 context of 1 to 4 outcomes, then possibly a
+    bad alphabet, one non-finite or negative entry, or a missing key.
+    Returns the document and whether it is valid input."""
+    n = draw(st.integers(1, 4))
+    mixing = draw(st.floats(0.05, 1.0))
+    trans = (1.0 - mixing) * np.eye(n) + mixing / n  # symmetric, doubly stochastic
+    doc = {"trans_b_given_a": trans.tolist(), "trans_a_given_b": trans.tolist()}
+    for key in ("marginal_a", "marginal_b"):
+        weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        doc[key] = (weights / weights.sum()).tolist()
+    alphabet = draw(st.one_of(
+        st.none(),
+        st.lists(st.sampled_from("FIXY"), min_size=n, max_size=n),
+        st.sampled_from([5, "FI", None, [1, 2], [["F"], ["I"]], [None, "I"]]).map(
+            lambda bad: {"bad": bad}
+        ),
+    ))
+    if alphabet is None:
+        valid = n == 2
+    elif isinstance(alphabet, dict):
+        doc["alphabet"] = alphabet["bad"]
+        valid = False
+    else:
+        doc["alphabet"] = alphabet
+        valid = n >= 2 and len(set(alphabet)) == n
+    fault = draw(st.sampled_from(["none", "entry", "missing"]))
+    if fault == "entry":
+        key = draw(st.sampled_from(CONTEXT_KEYS))
+        flat = np.array(doc[key]).ravel()
+        flat[draw(st.integers(0, flat.size - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.25])
+        )
+        doc[key] = flat.reshape(np.shape(doc[key])).tolist()
+        valid = False
+    elif fault == "missing":
+        del doc[draw(st.sampled_from(CONTEXT_KEYS))]
+        valid = False
+    return doc, valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(context_documents())
+def test_cli_exit_contract_over_generated_contexts(case):
+    doc, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ctx = tmp / "ctx.json"
+        ctx.write_text(json.dumps(doc))
+        game = tmp / "game.json"
+        game.write_text(json.dumps(ql.game_to_json(helpers.zero_sum_spec())))
+        for argv in (
+            ["validate", "--input", ctx],
+            ["qlra", "--input", ctx],
+            ["average", "--game", game, "--context", ctx, "--ql"],
+        ):
+            out_path = tmp / "out.json"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main([str(a) for a in argv + ["--output", out_path]])
+            err = stderr.getvalue()
+            assert stdout.getvalue() == ""
+            assert "Traceback" not in err
+            if code == 0:
+                assert err == "" and out_path.exists()
+                out_path.unlink()
+            else:
+                assert code == 1, (argv[0], err)
+                assert len(err.splitlines()) == 1 and err.startswith("error: ")
+                assert not out_path.exists()
+            if not valid:
+                assert code == 1, (argv[0], doc)
+            elif argv[0] == "validate":
+                assert code == 0, err

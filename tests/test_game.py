@@ -7,6 +7,7 @@ import pytest
 import qlgame as ql
 import helpers
 from helpers import MATCH, MIRROR
+from qlgame.game import _basis_map_unitary
 
 
 def spin_identification_discrepancy(delta: float) -> float:
@@ -150,6 +151,33 @@ def test_factored_and_interference_forms_agree(rng):
         interference = ql.interference_average(rep, tester_payoff)
         assert factored == pytest.approx(full, abs=1e-12)
         assert interference == pytest.approx(full, abs=1e-10)
+
+
+def test_interference_average_matches_per_vector_reference(rng):
+    # the cross term built vector by vector from <psi, e^a_k> and <e^b_x, e^a_k>
+    for _ in range(20):
+        rep = ql.build_representation(helpers.random_trig_context(rng))
+        h = ql.PayoffMatrix(rng.uniform(-2.0, 2.0, size=(2, 2)))
+        proj_a = np.array([ql.inner_product(rep.psi, v) for v in rep.a_basis.vectors])
+        born_b = []
+        for e_b in rep.b_basis.vectors:
+            z = np.conj(ql.expand_in_basis(e_b, rep.a_basis)) * proj_a
+            cross = 2.0 * abs(z[0]) * abs(z[1]) * math.cos(np.angle(z[0]) - np.angle(z[1]))
+            born_b.append(abs(z[0]) ** 2 + abs(z[1]) ** 2 + cross)
+        born_a = np.abs(proj_a) ** 2
+        trans = np.abs(rep.a_basis.vectors @ rep.b_basis.vectors.conj().T) ** 2
+        expected = np.sum((born_a - np.array(born_b)) * np.sum(h.entries * trans, axis=1))
+        assert ql.interference_average(rep, h) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_basis_map_unitary_matches_outer_product_sum(n, rng):
+    source = ql.random_orthonormal_basis(n, rng).vectors
+    target = ql.random_orthonormal_basis(n, rng).vectors
+    u = _basis_map_unitary(source, target)
+    reference = sum(np.outer(target[k], source[k].conj()) for k in range(n))
+    assert np.max(np.abs(u - reference)) < 1e-12
+    assert np.max(np.abs(source @ u.T - target)) < 1e-12  # u e_k = f_k for every k
 
 
 def test_three_player_representations_uniform():

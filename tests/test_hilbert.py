@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import qlgame as ql
 from qlgame.hilbert import HilbertError, norm
+from qlgame.representation import born_tables
 
 
 def test_inner_product_delta_vectors():
@@ -45,20 +48,6 @@ def test_born_probability_d1_amplitude(d1):
     assert abs(ql.inner_product(rep.psi, rep.psi) - 1) < 1e-12
 
 
-def test_expectation_balanced_and_eigenstate():
-    basis = ql.delta_basis(2)
-    obs = ql.DiagonalObservable(basis, np.array([1.0, -1.0]))
-    balanced = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert ql.expectation(obs, balanced) == pytest.approx(0.0)
-    assert ql.expectation(obs, basis[0]) == pytest.approx(1.0)
-
-
-def test_expectation_d1_amplitude(d1):
-    rep = ql.build_representation(d1)
-    obs = ql.DiagonalObservable(rep.b_basis, np.array([1.0, -1.0]))
-    assert ql.expectation(obs, rep.psi) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_expand_in_delta_basis(rng):
     v = ql.random_unit_vector(4, rng)
     coeffs = ql.expand_in_basis(v, ql.delta_basis(4))
@@ -92,12 +81,12 @@ def test_reconstruction_and_parseval(n, rng):
 
 def test_expectation_global_phase_invariance(rng):
     basis = ql.random_orthonormal_basis(3, rng)
-    obs = ql.DiagonalObservable(basis, np.array([0.5, -1.5, 2.0]))
+    eigen = np.array([0.5, -1.5, 2.0])
     state = ql.random_unit_vector(3, rng)
     rotated = np.exp(1j * 0.7343) * state
-    assert ql.expectation(obs, rotated) == pytest.approx(
-        ql.expectation(obs, state), abs=1e-12
-    )
+    born, _, _ = born_tables(state, basis, basis)
+    born_rotated, _, _ = born_tables(rotated, basis, basis)
+    assert eigen @ born_rotated == pytest.approx(eigen @ born, abs=1e-12)
 
 
 def test_orthonormal_basis_rejects_skewed():
@@ -105,12 +94,12 @@ def test_orthonormal_basis_rejects_skewed():
         ql.OrthonormalBasis(np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex))
 
 
-def test_observable_matrix_matches_expectation(rng):
-    basis = ql.random_orthonormal_basis(4, rng)
-    obs = ql.DiagonalObservable(basis, np.array([1.0, 2.0, -3.0, 0.25]))
-    state = ql.random_unit_vector(4, rng)
-    matrix_form = np.real(np.conj(state) @ (obs.matrix() @ state))
-    assert matrix_form == pytest.approx(ql.expectation(obs, state), abs=1e-12)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_orthonormal_basis_rejects_non_finite(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the Gram product warns
+        with pytest.raises(HilbertError, match="basis vectors must be finite"):
+            ql.OrthonormalBasis(np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex))
 
 
 def test_norm_helper():

@@ -146,3 +146,24 @@ def test_joint_sum_error_names_deviation():
     entries = [[0.7 + 6e-13, 0.3 + 6e-13], [0.0, 0.0]]
     with pytest.raises(ql.ValidationError, match=r"sum - 1 = 1\.2e-12, beyond PROB_TOL"):
         ql.JointTable(("a", "b"), entries)
+
+
+def test_distribution_refuses_repeated_label():
+    with pytest.raises(ql.ValidationError, match="outcome label 'F' is repeated"):
+        ql.Distribution([0.5, 0.5], ("F", "F"))
+
+
+def test_transition_refuses_repeated_label():
+    with pytest.raises(ql.ValidationError, match="outcome label 'y' is repeated"):
+        ql.TransitionMatrix(np.eye(3), ("x", "y", "y"))
+
+
+def test_joint_refuses_repeated_label():
+    with pytest.raises(ql.ValidationError, match="outcome label 'I' is repeated"):
+        ql.JointTable(("a", "b"), [[0.25, 0.25], [0.25, 0.25]], ("I", "I"))
+
+
+@pytest.mark.parametrize("alphabet", [5, None, "FI", [1, 2], [["F"], ["I"]]])
+def test_validate_refuses_alphabet_that_is_not_string_labels(alphabet):
+    with pytest.raises(ql.ValidationError, match="alphabet must be a list of string labels"):
+        ql.validate_context_data(dict(helpers.D1_RAW, alphabet=alphabet))

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 import qlgame as ql
 import helpers
-from qlgame.representation import _select_phases, born_tables
+from qlgame.representation import PHASE_TOL, _select_phases, born_tables
 
 SQRT6_OVER_12 = math.sqrt(6.0) / 12.0
 
@@ -80,15 +81,65 @@ def test_build_representation_rejects_asymmetric():
         ql.build_representation(data)
 
 
-def test_phase_selection_requires_pi_gap():
-    with pytest.raises(ql.PhaseConstraintError, match="unsatisfiable"):
-        _select_phases(np.array([0.3, 0.3]))
-
-
 def test_phase_selection_boundary_lambda():
     thetas = _select_phases(np.array([1.0, -1.0]))
     assert thetas[0] == pytest.approx(0.0)
     assert thetas[1] == pytest.approx(math.pi)
+
+
+def _round_trip_error(ctx, rep) -> float:
+    back = ql.reconstruct_data(rep)
+    return max(
+        float(np.max(np.abs(back.marginal_a.probs - ctx.marginal_a.probs))),
+        float(np.max(np.abs(back.marginal_b.probs - ctx.marginal_b.probs))),
+        float(np.max(np.abs(back.trans_b_given_a.rows - ctx.trans_b_given_a.rows))),
+        float(np.max(np.abs(back.trans_a_given_b.rows - ctx.trans_a_given_b.rows))),
+    )
+
+
+interior_probs = st.floats(0.02, 0.98)
+# |lambda| = 1 - 10**-k (k in [6, 16]) or up to 5e-13 past the boundary
+boundary_magnitudes = st.one_of(
+    st.floats(6.0, 16.0).map(lambda k: 1.0 - 10.0 ** -k),
+    st.floats(0.0, 5e-13).map(lambda excess: 1.0 + excess),
+)
+
+
+@given(interior_probs, interior_probs, boundary_magnitudes, st.sampled_from([1.0, -1.0]))
+def test_near_boundary_contexts_build(p, q, magnitude, sign):
+    r = helpers.b_marginal_for_lambda(p, q, sign * magnitude)
+    assume(0.0 < r < 1.0)  # strict positivity (R2) of the b-marginal
+    ctx = helpers.symmetric_context(p, q, r)
+    rep = ql.build_representation(ctx)
+    thetas = rep.profile.thetas
+    assert thetas[1] == thetas[0] + math.pi
+    assert _round_trip_error(ctx, rep) <= PHASE_TOL
+
+
+@pytest.mark.parametrize("gap", [1e-11, 1e-13, 0.0])
+def test_boundary_contexts_all_build(gap):
+    rng = np.random.default_rng(20070)
+    for sign in (1.0, -1.0):
+        for _ in range(250):
+            p, q = rng.uniform(0.02, 0.98, size=2)
+            r = helpers.b_marginal_for_lambda(p, q, sign * (1.0 - gap))
+            ctx = helpers.symmetric_context(p, q, r)
+            assert _round_trip_error(ctx, ql.build_representation(ctx)) <= PHASE_TOL
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_just_hyperbolic_context_refused(sign):
+    r = helpers.b_marginal_for_lambda(0.3, 0.6, sign * (1.0 + 1e-9))
+    ctx = helpers.symmetric_context(0.3, 0.6, r)
+    with pytest.raises(ql.HyperbolicContextError, match=r"\|lambda\| - 1 = 1e-09"):
+        ql.build_representation(ctx)
+
+
+def test_build_representation_refuses_three_outcomes():
+    t = ql.TransitionMatrix(np.full((3, 3), 1.0 / 3.0), ("F", "I", "X"))
+    third = ql.uniform_distribution(("F", "I", "X"))
+    with pytest.raises(ql.ValidationError, match="two-outcome alphabet, got 3 outcomes"):
+        ql.build_representation(ql.ContextData(third, third, t, t))
 
 
 def test_a_basis_orthonormal_and_transitions(d1):
@@ -113,16 +164,12 @@ def test_state_is_superposition_of_a_basis(d1):
 
 
 def test_expectations_match_conditional_averages(d1):
+    # the +-1 observable diagonal in each basis averages to its marginal's mean
     rep = ql.build_representation(d1)
     eigen = np.array([1.0, -1.0])
-    for basis, marginal in (
-        (rep.a_basis, d1.marginal_a.probs),
-        (rep.b_basis, d1.marginal_b.probs),
-    ):
-        obs = ql.DiagonalObservable(basis, eigen)
-        assert ql.expectation(obs, rep.psi) == pytest.approx(
-            float(eigen @ marginal), abs=1e-10
-        )
+    born_a, born_b, _ = born_tables(rep.psi, rep.a_basis, rep.b_basis)
+    assert eigen @ born_a == pytest.approx(float(eigen @ d1.marginal_a.probs), abs=1e-10)
+    assert eigen @ born_b == pytest.approx(float(eigen @ d1.marginal_b.probs), abs=1e-10)
 
 
 def test_reconstruct_round_trip_d1(d1):
