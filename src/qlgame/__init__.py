@@ -85,7 +85,6 @@ from .montecarlo import (
     GeneratorSpec,
     SimulationReport,
     report_to_json,
-    sample_outcome,
     sample_outcomes,
     simulate_game,
     simulate_multidim,

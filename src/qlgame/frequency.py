@@ -8,6 +8,7 @@ largest oscillation of the running frequencies over a trailing window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -19,18 +20,39 @@ DEFAULT_WINDOW_FRACTION = 0.1
 DEFAULT_STABILIZATION_TOL = 0.01
 
 
-@dataclass(frozen=True)
 class TrialSequence:
-    """Ordered outcomes observed under one generating context."""
+    """Ordered outcomes observed under one generating context.
 
-    outcomes: tuple[str, ...]
-    context_tag: str = "C"
+    The labels are mapped once to an integer ``codes`` array over
+    ``alphabet``, the labels in order of first appearance; ``outcomes``
+    rebuilds the label tuple on demand.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
+    def __init__(self, outcomes: Iterable[str], context_tag: str = "C"):
+        labels = outcomes if isinstance(outcomes, (tuple, list)) else tuple(outcomes)
+        alphabet = tuple(dict.fromkeys(labels))
+        lookup = {label: k for k, label in enumerate(alphabet)}
+        codes = np.fromiter(map(lookup.__getitem__, labels), np.intp, len(labels))
+        self._set(codes, alphabet, context_tag)
+
+    @classmethod
+    def _from_codes(cls, codes: np.ndarray, alphabet: tuple[str, ...], context_tag: str):
+        seq = cls.__new__(cls)
+        seq._set(np.asarray(codes, dtype=np.intp), tuple(alphabet), context_tag)
+        return seq
+
+    def _set(self, codes: np.ndarray, alphabet: tuple[str, ...], context_tag: str) -> None:
+        codes.setflags(write=False)
+        self.codes = codes
+        self.alphabet = alphabet
+        self.context_tag = context_tag
+
+    @cached_property
+    def outcomes(self) -> tuple[str, ...]:
+        return tuple(np.array(self.alphabet, dtype=object)[self.codes].tolist())
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.codes)
 
 
 @dataclass(frozen=True)
@@ -41,13 +63,30 @@ class StabilizationReport:
 
 
 def _indices(seq: TrialSequence, alphabet: tuple[str, ...]) -> np.ndarray:
+    """The sequence's codes remapped to positions in ``alphabet``."""
     lookup = {label: k for k, label in enumerate(alphabet)}
-    try:
-        return np.array([lookup[x] for x in seq.outcomes], dtype=np.intp)
-    except KeyError as exc:
-        raise ValidationError(
-            f"outcome {exc.args[0]!r} not in alphabet {alphabet}"
-        ) from None
+    table = np.array([lookup.get(label, -1) for label in seq.alphabet], dtype=np.intp)
+    idx = table[seq.codes]
+    unknown = idx < 0
+    if unknown.any():
+        label = seq.alphabet[seq.codes[int(np.argmax(unknown))]]
+        raise ValidationError(f"outcome {label!r} not in alphabet {alphabet}")
+    return idx
+
+
+def _running(idx: np.ndarray, k: int, start: int = 0) -> np.ndarray:
+    """Running relative frequencies after start + 1, ..., N trials.
+
+    The counts are integers, exact in float64, so each row equals the same
+    row computed from trial 1 on.
+    """
+    tail = idx[start:]
+    counts = np.zeros((tail.size, k))
+    counts[np.arange(tail.size), tail] = 1.0
+    np.cumsum(counts, axis=0, out=counts)
+    counts += np.bincount(idx[:start], minlength=k)
+    counts /= np.arange(start + 1, idx.size + 1)[:, None]
+    return counts
 
 
 def estimate_frequencies(
@@ -67,11 +106,7 @@ def running_frequencies(
     """Running relative frequencies: row N-1 holds the frequencies after N trials."""
     if len(seq) == 0:
         raise ValidationError("empty sequence")
-    idx = _indices(seq, alphabet)
-    onehot = np.zeros((len(seq), len(alphabet)))
-    onehot[np.arange(len(seq)), idx] = 1.0
-    cum = np.cumsum(onehot, axis=0)
-    return cum / np.arange(1, len(seq) + 1)[:, None]
+    return _running(_indices(seq, alphabet), len(alphabet))
 
 
 def stabilization_report(
@@ -93,10 +128,9 @@ def stabilization_report(
         raise ValidationError(
             f"sequence of length {n} too short for window fraction {window_fraction}"
         )
-    running = running_frequencies(seq, alphabet)
     window = int(n * window_fraction)
-    tail = running[n - window :]
-    final = running[-1]
+    tail = _running(_indices(seq, alphabet), len(alphabet), n - window)
+    final = tail[-1]
     oscillation = float(np.max(np.abs(tail - final)))
     return StabilizationReport(
         final_frequencies=Distribution(final, alphabet),
@@ -116,7 +150,7 @@ def conditional_frequencies(
     Filters the pairs on ``condition == given`` — the selection context for
     that outcome — and estimates frequencies of the results.
     """
-    selected = tuple(result for condition, result in pairs if condition == given)
+    selected = [result for condition, result in pairs if condition == given]
     return estimate_frequencies(
         TrialSequence(selected, context_tag=f"{context_tag}_{given}"), alphabet
     )
@@ -128,5 +162,4 @@ def read_sequence(source, context_tag: str = "C") -> TrialSequence:
         lines: Iterable[str] = Path(source).read_text().splitlines()
     else:
         lines = source
-    outcomes = tuple(line.strip() for line in lines if line.strip())
-    return TrialSequence(outcomes, context_tag=context_tag)
+    return TrialSequence(list(filter(None, map(str.strip, lines))), context_tag=context_tag)

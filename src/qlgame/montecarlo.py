@@ -60,17 +60,11 @@ def _draw_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.nda
     return np.minimum(idx, len(cum) - 1)
 
 
-def sample_outcome(gen: GeneratorSpec, rng: np.random.Generator) -> str:
-    """Draw one outcome label, advancing the stream by one variate."""
-    k = int(_draw_indices(gen.distribution.probs, rng, 1)[0])
-    return gen.distribution.alphabet[k]
-
-
 def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> TrialSequence:
-    """Draw ``n`` outcomes as a trial sequence tagged with the stream id."""
+    """Draw ``n`` outcomes as a trial sequence tagged with the stream id, one
+    variate per outcome, coded over the distribution's alphabet."""
     idx = _draw_indices(gen.distribution.probs, rng, n)
-    labels = tuple(gen.distribution.alphabet[k] for k in idx)
-    return TrialSequence(labels, context_tag=gen.stream_id)
+    return TrialSequence._from_codes(idx, gen.distribution.alphabet, gen.stream_id)
 
 
 # Counts are int64: a larger total cannot be drawn or stored.

@@ -77,15 +77,21 @@ class QLRepresentation:
         object.__setattr__(self, "psi", psi)
 
 
+def _require_two_outcomes(n: int, what: str) -> None:
+    if n != 2:
+        raise ValidationError(f"{what} needs a two-outcome alphabet, got {n} outcomes")
+
+
 def interference_coefficients(data: ContextData) -> np.ndarray:
     """Normalized deviation of the b-marginal from the total-probability rule.
 
     lambda(beta) = [p_b(beta) - sum_alpha p_a(alpha) p(beta|alpha)]
                    / [2 sqrt(prod_alpha p_a(alpha) p(beta|alpha))]
 
-    Requires strictly positive probabilities; a zero entry would make the
-    denominator vanish.
+    Requires two outcomes and strictly positive probabilities; a zero entry
+    would make the denominator vanish.
     """
+    _require_two_outcomes(len(data.alphabet), "the interference coefficient formula")
     if not data.r2_positive:
         raise ValidationError(_zero_entry_message(data))
     pa = data.marginal_a.probs
@@ -116,10 +122,12 @@ def _zero_entry_message(data: ContextData) -> str:
 def classify_context(lambdas) -> str:
     """``trigonometric`` iff every |lambda| <= 1 + PROB_TOL, else ``hyperbolic``.
 
-    The boundary |lambda| = 1 counts as trigonometric with degenerate phase
-    0 or pi, also when rounding puts it just outside.
+    Takes the two coefficients of a two-outcome context.  The boundary
+    |lambda| = 1 counts as trigonometric with degenerate phase 0 or pi,
+    also when rounding puts it just outside.
     """
     lambdas = np.asarray(lambdas, dtype=float)
+    _require_two_outcomes(lambdas.size, "the classification")
     if not np.all(np.isfinite(lambdas)):
         raise ValidationError("interference coefficients must be finite")
     return TRIGONOMETRIC if float(np.max(np.abs(lambdas))) <= 1.0 + PROB_TOL else HYPERBOLIC
@@ -139,11 +147,7 @@ def build_representation(data: ContextData) -> QLRepresentation:
     trigonometric classification; hyperbolic contexts are rejected, never
     silently represented.
     """
-    if len(data.alphabet) != 2:
-        raise ValidationError(
-            "the amplitude reconstruction needs a two-outcome alphabet, got "
-            f"{len(data.alphabet)} outcomes"
-        )
+    _require_two_outcomes(len(data.alphabet), "the amplitude reconstruction")
     if not data.r1_symmetric:
         raise ValidationError(
             "symmetric conditioning (R1) required: transition matrices are "

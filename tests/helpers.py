@@ -148,3 +148,50 @@ def feasibility_interval_oracle(system: ql.PairwiseSystem, tol: float = 1e-9) ->
                 else:
                     hi = min(hi, base)
     return lo <= hi + tol
+
+
+def reference_indices(outcomes, alphabet) -> list[int]:
+    """Label-at-a-time positions of ``outcomes`` in ``alphabet``, refusing
+    the first unknown label as the frequency layer does."""
+    lookup = {label: k for k, label in enumerate(alphabet)}
+    idx = []
+    for label in outcomes:
+        if label not in lookup:
+            raise ql.ValidationError(f"outcome {label!r} not in alphabet {alphabet}")
+        idx.append(lookup[label])
+    return idx
+
+
+def reference_running(outcomes, alphabet) -> list[list[float]]:
+    """Running frequencies one trial at a time: row N-1 after N trials."""
+    counts = [0.0] * len(alphabet)
+    rows = []
+    for n, k in enumerate(reference_indices(outcomes, alphabet), start=1):
+        counts[k] += 1.0
+        rows.append([c / n for c in counts])
+    if not rows:
+        raise ql.ValidationError("empty sequence")
+    return rows
+
+
+def reference_estimate(outcomes, alphabet) -> list[float]:
+    if not outcomes:
+        raise ql.ValidationError("empty sequence")
+    return reference_running(outcomes, alphabet)[-1]
+
+
+def reference_stabilization(outcomes, window_fraction, tol, alphabet):
+    """(final frequencies, largest tail oscillation, stabilized) from the
+    full running table, with the refusals of ``stabilization_report``."""
+    if not 0.0 < window_fraction <= 1.0:
+        raise ql.ValidationError("window_fraction must lie in (0, 1]")
+    n = len(outcomes)
+    if n < 2.0 / window_fraction:
+        raise ql.ValidationError(
+            f"sequence of length {n} too short for window fraction {window_fraction}"
+        )
+    rows = reference_running(outcomes, alphabet)
+    final = rows[-1]
+    tail = rows[n - int(n * window_fraction):]
+    oscillation = max(abs(v - f) for row in tail for v, f in zip(row, final))
+    return final, oscillation, oscillation <= tol

@@ -364,6 +364,37 @@ def test_estimate_whole_sequence_window(capsys, tmp_path):
     assert payload["stabilization"]["stabilized"] is False
 
 
+def test_estimate_crlf_padded_and_blank_lines(capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(b"F\r\nI\r\n\r\n  F \r\n\tI\t\n\n   \nF\n")
+    code, out, _ = run(capsys, "estimate", "--input", path, "--window", "0.4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["trials"] == 5
+    assert payload["frequencies"] == {"F": 0.6, "I": 0.4}
+    # the window holds prefixes 4 and 5: F reads 1/2 and 3/5, the final 3/5
+    assert payload["stabilization"]["max_tail_oscillation"] == pytest.approx(0.1)
+
+
+def test_estimate_refuses_label_with_inner_space(capsys, tmp_path):
+    path = tmp_path / "seq.txt"
+    path.write_text("F\nF I\nI\n")
+    out_path = tmp_path / "estimate.json"
+    code, out, err = run(capsys, "estimate", "--input", path, "--output", out_path)
+    _assert_single_error(code, out, err, out_path)
+    assert "'F I'" in err
+
+
+@pytest.mark.parametrize("content", ["", "\n \n\r\n"])
+def test_estimate_refuses_empty_file(capsys, tmp_path, content):
+    path = tmp_path / "seq.txt"
+    path.write_text(content)
+    out_path = tmp_path / "estimate.json"
+    code, out, err = run(capsys, "estimate", "--input", path, "--output", out_path)
+    _assert_single_error(code, out, err, out_path)
+    assert "empty sequence" in err
+
+
 def test_output_file_written_on_success(capsys, d1_file, tmp_path):
     out_path = tmp_path / "rep.json"
     code, out, _ = run(capsys, "qlra", "--input", d1_file, "--output", out_path)

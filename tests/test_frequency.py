@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import qlgame as ql
-from qlgame.frequency import read_sequence
+import helpers
+from qlgame.frequency import TrialSequence, read_sequence
 
 
 def test_estimate_counts():
@@ -23,8 +25,10 @@ def test_estimate_empty_errors():
 
 
 def test_estimate_unknown_label_errors():
-    with pytest.raises(ql.ValidationError, match="'X'"):
-        ql.estimate_frequencies(ql.TrialSequence(("F", "X")))
+    # the first unknown label in sequence order is named
+    with pytest.raises(ql.ValidationError) as exc:
+        ql.estimate_frequencies(ql.TrialSequence(("F", "Y", "X", "Y")))
+    assert str(exc.value) == "outcome 'Y' not in alphabet ('F', 'I')"
 
 
 def test_frequencies_are_multiples_of_1_over_n(rng):
@@ -95,3 +99,60 @@ def test_read_sequence_from_lines(tmp_path):
     path.write_text("F\nI\n\nF\n")
     seq = read_sequence(path)
     assert seq.outcomes == ("F", "I", "F")
+
+
+def _result(fn, *args):
+    """The function's value, or the message of the ValidationError it raises."""
+    try:
+        return fn(*args)
+    except ql.ValidationError as exc:
+        return ("error", str(exc))
+
+
+# 1-3 distinct labels, some outside every requested alphabet, then a
+# sequence of 0-300 of them.
+LABEL_POOLS = st.lists(st.sampled_from(["F", "I", "X", "F I"]), min_size=1, max_size=3, unique=True)
+SEQUENCES = LABEL_POOLS.flatmap(
+    lambda pool: st.tuples(st.just(tuple(pool)), st.lists(st.sampled_from(pool), max_size=300))
+)
+
+
+@given(
+    case=SEQUENCES,
+    alphabet=st.sampled_from([("F", "I"), ("I", "F"), ("F", "I", "X")]),
+    window=st.sampled_from([0.01, 0.05, 0.1, 0.37, 1.0]),
+)
+def test_code_array_matches_label_reference(case, alphabet, window):
+    pool, labels = case
+    tol = 0.01
+    built = TrialSequence(labels, context_tag="T")
+    assert built.alphabet == tuple(dict.fromkeys(labels))
+    # A code-backed sequence whose alphabet also holds labels that never occur.
+    coded = TrialSequence._from_codes(np.array([pool.index(x) for x in labels], dtype=np.intp), pool, "T")
+    for seq in (built, coded):
+        assert seq.outcomes == tuple(labels) and len(seq) == len(labels)
+        want = _result(helpers.reference_estimate, labels, alphabet)
+        got = _result(ql.estimate_frequencies, seq, alphabet)
+        assert got == want if isinstance(want, tuple) else got.probs.tolist() == want
+
+        want = _result(helpers.reference_running, labels, alphabet)
+        got = _result(ql.running_frequencies, seq, alphabet)
+        assert got == want if isinstance(want, tuple) else (
+            got.shape == (len(labels), len(alphabet)) and got.tolist() == want
+        )
+
+        want = _result(helpers.reference_stabilization, labels, window, tol, alphabet)
+        got = _result(ql.stabilization_report, seq, window, tol, alphabet)
+        if want[0] == "error":
+            assert got == want
+        else:
+            assert got.final_frequencies.probs.tolist() == want[0]
+            assert (got.max_tail_oscillation, got.stabilized) == want[1:]
+
+
+def test_sequence_codes_are_read_only():
+    seq = ql.TrialSequence(("I", "F", "I"))
+    assert seq.alphabet == ("I", "F") and seq.codes.tolist() == [0, 1, 0]
+    with pytest.raises(ValueError):
+        seq.codes[0] = 1
+

@@ -13,9 +13,31 @@ from qlgame.montecarlo import report_to_json
 def test_sample_outcome_deterministic_generators():
     rng = ql.stream_rng(1, "t")
     always_f = ql.GeneratorSpec(ql.Distribution([1.0, 0.0]), "g_a")
-    assert all(ql.sample_outcome(always_f, rng) == "F" for _ in range(20))
+    assert ql.sample_outcomes(always_f, 20, rng).outcomes == ("F",) * 20
     always_i = ql.GeneratorSpec(ql.Distribution([0.0, 1.0]), "g_a")
-    assert all(ql.sample_outcome(always_i, rng) == "I" for _ in range(20))
+    assert ql.sample_outcomes(always_i, 20, rng).outcomes == ("I",) * 20
+
+
+# (probabilities, alphabet, stream, seed, n) -> per-label counts and the
+# first 32 labels, recorded before sequences were stored as code arrays.
+SAMPLE_PINS = [
+    (([0.5, 0.5], ("F", "I"), "fair-coin", 2024, 1000),
+     [524, 476], "IFFIFFFIFIIFFIFFIIIIIFFIIIFIFIFF"),
+    (([0.3, 0.7], ("F", "I"), "biased", 99, 5000),
+     [1499, 3501], "IFIIIIFIIIIIIIIIIIIIFIIIIIFIIIFF"),
+    (([0.2, 0.5, 0.3], ("x", "y", "z"), "three", 7, 3000),
+     [635, 1469, 896], "yyzxyxxyxyzxyzyyxxyzxyxxxzzyzxzy"),
+]
+
+
+@pytest.mark.parametrize("case, counts, head", SAMPLE_PINS)
+def test_sample_outcomes_pinned_labels(case, counts, head):
+    probs, alphabet, stream, seed, n = case
+    gen = ql.GeneratorSpec(ql.Distribution(probs, alphabet), stream)
+    seq = ql.sample_outcomes(gen, n, ql.stream_rng(seed, stream))
+    assert seq.context_tag == stream and len(seq) == n
+    assert [seq.outcomes.count(label) for label in alphabet] == counts
+    assert "".join(seq.outcomes[:32]) == head
 
 
 def test_sample_outcome_fair_coin_bound():

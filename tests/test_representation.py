@@ -46,6 +46,26 @@ def test_classify_context():
     assert ql.classify_context([1.0, -1.0]) == ql.TRIGONOMETRIC  # closed boundary
 
 
+THREE_OUTCOME_RAW = {
+    "alphabet": ["x", "y", "z"],
+    "marginal_a": [0.2, 0.5, 0.3],
+    "marginal_b": [0.4, 0.35, 0.25],
+    "trans_b_given_a": [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]],
+    "trans_a_given_b": [[0.5, 0.3, 0.2], [0.3, 0.4, 0.3], [0.2, 0.3, 0.5]],
+}
+
+
+def test_interference_coefficients_refuse_three_outcomes():
+    data = ql.validate_context_data(THREE_OUTCOME_RAW)  # strictly positive, R1
+    with pytest.raises(ql.ValidationError, match="two-outcome alphabet, got 3 outcomes"):
+        ql.interference_coefficients(data)
+
+
+def test_classify_context_refuses_three_coefficients():
+    with pytest.raises(ql.ValidationError, match="two-outcome alphabet, got 3 outcomes"):
+        ql.classify_context([0.2, -0.1, -0.1])
+
+
 def test_build_representation_d1(d1):
     rep = ql.build_representation(d1)
     theta = rep.profile.thetas
@@ -125,6 +145,28 @@ def test_boundary_contexts_all_build(gap):
             r = helpers.b_marginal_for_lambda(p, q, sign * (1.0 - gap))
             ctx = helpers.symmetric_context(p, q, r)
             assert _round_trip_error(ctx, ql.build_representation(ctx)) <= PHASE_TOL
+
+
+# Entries from 1e-14 up to 1 - 1e-14, with the bulk in between.
+small_probs = st.one_of(
+    st.floats(1e-14, 1e-3),
+    st.floats(1e-3, 0.999),
+    st.floats(1e-14, 1e-3).map(lambda x: 1.0 - x),
+)
+
+
+@given(small_probs, small_probs, st.floats(-1.0, 1.0))
+def test_small_probability_contexts_round_trip(p, q, lam):
+    r = helpers.b_marginal_for_lambda(p, q, lam)
+    assume(0.0 < r < 1.0)  # strict positivity (R2) of the b-marginal
+    t = [[q, 1.0 - q], [1.0 - q, q]]
+    ctx = ql.validate_context_data(
+        {"marginal_a": [p, 1.0 - p], "marginal_b": [r, 1.0 - r],
+         "trans_b_given_a": t, "trans_a_given_b": t}
+    )
+    # Rounding of r can push |lambda| of the numbers as given past 1.
+    assume(ql.classify_context(ql.interference_coefficients(ctx)) == ql.TRIGONOMETRIC)
+    assert _round_trip_error(ctx, ql.build_representation(ctx)) <= 1e-10
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
