@@ -12,6 +12,7 @@ alphabets solve a small linear feasibility problem.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -19,13 +20,13 @@ from typing import Iterator
 import numpy as np
 
 from .probability import (
-    OUTCOME_VALUES,
     PROB_TOL,
     ContextData,
     Distribution,
     JointTable,
     TransitionMatrix,
     ValidationError,
+    _frozen,
     check_reversibility,
     joint_distribution,
     uniform_distribution,
@@ -58,8 +59,9 @@ class BayesConsistencyReport:
 
 def bayes_consistency(data: ContextData) -> BayesConsistencyReport:
     rev = check_reversibility(data)
-    uniform = data.marginal_a.is_uniform(UNIFORM_TOL) and data.marginal_b.is_uniform(
-        UNIFORM_TOL
+    uniform = all(
+        np.max(np.abs(m.probs - 1.0 / m.probs.size)) <= UNIFORM_TOL
+        for m in (data.marginal_a, data.marginal_b)
     )
     theorem = (rev.consistent == uniform) if data.r1_symmetric else None
     return BayesConsistencyReport(
@@ -82,15 +84,12 @@ def spin_transition_matrix(theta_i: float, theta_j: float) -> TransitionMatrix:
 
 
 def covariance(joint: JointTable) -> float:
-    """Product moment with the encoding F=+1, I=-1:
-    ``p(FF) + p(II) - p(FI) - p(IF)``."""
+    """Product moment with outcome index 0 = +1 and index 1 = -1, i.e.
+    ``p(FF) + p(II) - p(FI) - p(IF)``.  Swapping the two values leaves it
+    unchanged, so the labels play no part."""
     if len(joint.alphabet) != 2:
         raise ValidationError("covariance requires a dichotomous joint table")
-    if all(label in OUTCOME_VALUES for label in joint.alphabet):
-        values = np.array([OUTCOME_VALUES[label] for label in joint.alphabet])
-    else:
-        values = np.array([1.0, -1.0])  # positional +-1 for other labels
-    return float(values @ joint.entries @ values)
+    return float(_SIGNS @ joint.entries @ _SIGNS)
 
 
 @dataclass(frozen=True)
@@ -216,6 +215,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | No
     return x
 
 
+@functools.cache
 def _pairwise_constraints(k: int) -> np.ndarray:
     """Constraint matrix: rows fix each pairwise cell of the three joints
     (sums over the remaining observable) plus overall normalization."""
@@ -233,10 +233,8 @@ def _pairwise_constraints(k: int) -> np.ndarray:
         for i in range(k):
             rows.append((l_idx == l) & (i_idx == i))
     rows.append(np.ones(n, dtype=bool))
-    return np.array(rows, dtype=float)
+    return _frozen(rows)  # cached, so shared read-only
 
-
-_CONSTRAINTS_CACHE: dict[int, np.ndarray] = {}
 
 # The 8 atoms of a k = 2 joint in the order of ``witness.ravel()``: atom
 # 4 i + 2 j + l holds outcome indices (i, j, l) of (a, b, c), and outcome
@@ -283,9 +281,7 @@ def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
     feasibility by the phase-1 simplex (the atom count is exponential in
     the number of observables, fine for three)."""
     k = len(system.alphabet)
-    if k not in _CONSTRAINTS_CACHE:
-        _CONSTRAINTS_CACHE[k] = _pairwise_constraints(k)
-    A = _CONSTRAINTS_CACHE[k]
+    A = _pairwise_constraints(k)
     b = np.concatenate(
         [
             system.joint_ab.entries.ravel(),

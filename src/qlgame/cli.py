@@ -15,14 +15,12 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import classicality, frequency, game, montecarlo
-from .hilbert import HilbertError
 from .probability import (
     Distribution,
     JointTable,
     ValidationError,
+    _named,
     check_reversibility,
     context_from_json,
     context_to_json,
@@ -34,7 +32,7 @@ from .representation import (
     representation_to_json,
 )
 
-DOMAIN_ERRORS = (ValidationError, HyperbolicContextError, HilbertError)
+DOMAIN_ERRORS = (ValidationError, HyperbolicContextError)
 
 CSV_COLUMNS = (
     "theta1", "theta2", "theta3",
@@ -101,12 +99,12 @@ def _parse_thetas(text: str) -> tuple[float, float, float]:
 def _system_from_json(obj) -> classicality.PairwiseSystem:
     try:
         return classicality.PairwiseSystem(
-            marginal_a=Distribution(np.asarray(obj["marginal_a"], float)),
-            marginal_b=Distribution(np.asarray(obj["marginal_b"], float)),
-            marginal_c=Distribution(np.asarray(obj["marginal_c"], float)),
-            joint_ab=JointTable(("a", "b"), np.asarray(obj["joint_ab"], float)),
-            joint_bc=JointTable(("b", "c"), np.asarray(obj["joint_bc"], float)),
-            joint_ca=JointTable(("c", "a"), np.asarray(obj["joint_ca"], float)),
+            marginal_a=_named("marginal_a", Distribution, obj["marginal_a"]),
+            marginal_b=_named("marginal_b", Distribution, obj["marginal_b"]),
+            marginal_c=_named("marginal_c", Distribution, obj["marginal_c"]),
+            joint_ab=_named("joint_ab", JointTable, ("a", "b"), obj["joint_ab"]),
+            joint_bc=_named("joint_bc", JointTable, ("b", "c"), obj["joint_bc"]),
+            joint_ca=_named("joint_ca", JointTable, ("c", "a"), obj["joint_ca"]),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed pairwise system: {exc}") from exc

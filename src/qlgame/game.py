@@ -17,9 +17,15 @@ from typing import Mapping
 import numpy as np
 
 from .hilbert import born_probability
-from .probability import ContextData, JointTable, ValidationError, joint_distribution
+from .probability import (
+    ContextData,
+    JointTable,
+    ValidationError,
+    _frozen,
+    _named,
+    joint_distribution,
+)
 from .representation import (
-    HYPERBOLIC,
     HyperbolicContextError,
     QLRepresentation,
     born_context,
@@ -36,24 +42,17 @@ class PayoffConventionWarning(UserWarning):
 @dataclass(frozen=True)
 class PayoffMatrix:
     """Payoffs ``entries[chooser_outcome, tester_outcome]`` for one player
-    in one game part.  ``alphabet`` is optional; when set it must match the
-    joint table the matrix is paired with."""
+    in one game part."""
 
     entries: np.ndarray
-    alphabet: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
+        entries = _frozen(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError(f"payoff matrix must be square, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValidationError("payoff entries must be finite")
-        entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
-        if self.alphabet is not None:
-            object.__setattr__(self, "alphabet", tuple(self.alphabet))
-            if len(self.alphabet) != entries.shape[0]:
-                raise ValidationError("payoff alphabet does not match matrix size")
 
 
 @dataclass(frozen=True)
@@ -139,10 +138,6 @@ class GameAverages:
 
 def part_average(joint: JointTable, payoff: PayoffMatrix) -> float:
     """Payoff-weighted sum ``sum_{i,j} h[i, j] p(first=i, second=j)``."""
-    if payoff.alphabet is not None and payoff.alphabet != joint.alphabet:
-        raise ValidationError(
-            f"alphabet mismatch: payoff {payoff.alphabet} vs joint {joint.alphabet}"
-        )
     if payoff.entries.shape != joint.entries.shape:
         raise ValidationError(
             f"payoff shape {payoff.entries.shape} does not match joint "
@@ -219,8 +214,6 @@ def ql_average(rep: QLRepresentation, spec: GameSpec) -> GameAverages:
     """State-space form of the averages, term by term from squared inner
     products.  Agrees with :func:`total_averages` on the reconstructed data.
     """
-    if rep.profile.classification == HYPERBOLIC:
-        raise HyperbolicContextError("hyperbolic representation has no QL averages")
     if len(spec.players) != 2:
         raise ValidationError("QL averages are defined for two-player games")
     born_a, born_b, trans = _born_profile(rep)
@@ -390,16 +383,22 @@ def game_from_json(obj) -> GameSpec:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     try:
+        players = obj["players"]
+        if not isinstance(players, (list, tuple)) or not all(isinstance(x, str) for x in players):
+            raise ValidationError(f"players must be a list of names, got {players!r}")
         parts = tuple(
             GamePart(
                 chooser=p["chooser"],
                 tester=p["tester"],
-                payoffs={name: PayoffMatrix(m) for name, m in p["payoffs"].items()},
+                payoffs={
+                    name: _named(f"part {k} payoff {name!r}", PayoffMatrix, m)
+                    for name, m in p["payoffs"].items()
+                },
             )
-            for p in obj["parts"]
+            for k, p in enumerate(obj["parts"])
         )
         return GameSpec(
-            players=tuple(obj["players"]),
+            players=tuple(players),
             parts=parts,
             zero_sum=bool(obj.get("zero_sum", False)),
         )

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .probability import ValidationError
+
 NORM_TOL = 1e-10
 
 
-class HilbertError(ValueError):
+class HilbertError(ValidationError):
     """Dimension mismatch or a vector/basis violating its normalization."""
 
 

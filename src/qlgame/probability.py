@@ -18,27 +18,28 @@ import numpy as np
 PROB_TOL = 1e-12
 
 ALPHABET = ("F", "I")
-OUTCOME_VALUES = {"F": 1.0, "I": -1.0}
 
 
 class ValidationError(ValueError):
     """Probability data violates a structural constraint."""
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    """Read-only float copy of ``values``; refuses non-numeric or ragged input."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"not a numeric array ({exc})") from exc
     arr.setflags(write=False)
     return arr
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _sum_error(what: str, total: float) -> str:
-    # 12 significant digits print a sum just past PROB_TOL as 1, so the
-    # deviation itself is what names the fault.
-    return f"{what} {_fmt(total)}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
+def _named(name: str, build, *args):
+    """``build(*args)``, naming ``name`` in any ValidationError it raises."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def _labels(alphabet) -> tuple[str, ...]:
@@ -46,7 +47,37 @@ def _labels(alphabet) -> tuple[str, ...]:
     if len(set(labels)) != len(labels):
         repeated = next(x for k, x in enumerate(labels) if x in labels[:k])
         raise ValidationError(f"outcome label {repeated!r} is repeated in the alphabet")
+    if len(labels) < 2:
+        raise ValidationError("alphabet needs at least 2 outcomes")
     return labels
+
+
+def _probability_table(values, alphabet, ndim: int, noun: str, sum_axis: int | None = None):
+    """``values`` as a read-only array with one axis of ``len(alphabet)``
+    per dimension, entries in [0, 1] and sums within PROB_TOL of 1: along
+    ``sum_axis`` when given, else in total.  Returns the array and labels."""
+    labels = _labels(alphabet)
+    arr = _frozen(values)
+    shape = (len(labels),) * ndim
+    if arr.shape != shape:
+        raise ValidationError(
+            f"expected {'x'.join(map(str, shape))} {noun}, got shape {arr.shape}"
+        )
+    # negated so that nan and inf land outside too
+    outside = ~((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL))
+    if outside.any():
+        raise ValidationError(f"{noun} must lie in [0, 1], got {arr[outside][0]:.12g}")
+    sums = np.ravel(arr.sum(axis=sum_axis))
+    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
+    if off.size:
+        what = f"{noun} sum to" if sum_axis is None else f"{noun} row {off[0]} sums to"
+        total = float(sums[off[0]])
+        # 12 significant digits print a sum just past PROB_TOL as 1, so the
+        # deviation itself is what names the fault.
+        raise ValidationError(
+            f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
+        )
+    return arr, labels
 
 
 @dataclass(frozen=True)
@@ -57,23 +88,9 @@ class Distribution:
     alphabet: tuple[str, ...] = ALPHABET
 
     def __post_init__(self):
-        probs = _frozen(self.probs)
+        probs, labels = _probability_table(self.probs, self.alphabet, 1, "probabilities")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "alphabet", _labels(self.alphabet))
-        if probs.ndim != 1 or probs.size != len(self.alphabet):
-            raise ValidationError(
-                f"expected {len(self.alphabet)} probabilities, got shape {probs.shape}"
-            )
-        if len(self.alphabet) < 2:
-            raise ValidationError("alphabet needs at least 2 outcomes")
-        if not np.all(np.isfinite(probs)):
-            raise ValidationError("probabilities must be finite")
-        if np.any(probs < -PROB_TOL) or np.any(probs > 1 + PROB_TOL):
-            bad = probs[(probs < -PROB_TOL) | (probs > 1 + PROB_TOL)][0]
-            raise ValidationError(f"probability {_fmt(bad)} outside [0, 1]")
-        total = float(probs.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(_sum_error("probabilities sum to", total))
+        object.__setattr__(self, "alphabet", labels)
 
     def prob(self, label: str) -> float:
         return float(self.probs[self.alphabet.index(label)])
@@ -81,9 +98,6 @@ class Distribution:
     @property
     def strictly_positive(self) -> bool:
         return bool(np.all(self.probs > 0.0))
-
-    def is_uniform(self, tol: float = 1e-10) -> bool:
-        return bool(np.max(np.abs(self.probs - 1.0 / len(self.alphabet))) <= tol)
 
 
 def uniform_distribution(alphabet: tuple[str, ...] = ALPHABET) -> Distribution:
@@ -99,20 +113,11 @@ class TransitionMatrix:
     alphabet: tuple[str, ...] = ALPHABET
 
     def __post_init__(self):
-        rows = _frozen(self.rows)
+        rows, labels = _probability_table(
+            self.rows, self.alphabet, 2, "transition probabilities", sum_axis=1
+        )
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "alphabet", _labels(self.alphabet))
-        n = len(self.alphabet)
-        if rows.shape != (n, n):
-            raise ValidationError(f"expected a {n}x{n} matrix, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise ValidationError("transition probabilities must be finite")
-        if np.any(rows < -PROB_TOL) or np.any(rows > 1 + PROB_TOL):
-            raise ValidationError("transition probabilities must lie in [0, 1]")
-        sums = rows.sum(axis=1)
-        for i, s in enumerate(sums):
-            if abs(s - 1.0) > PROB_TOL:
-                raise ValidationError(_sum_error(f"row {i} sums to", float(s)))
+        object.__setattr__(self, "alphabet", labels)
 
     def prob(self, result: str, given: str) -> float:
         return float(self.rows[self.alphabet.index(given), self.alphabet.index(result)])
@@ -174,23 +179,13 @@ _CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b
 
 
 def validate_context_data(raw) -> ContextData:
-    """Validate a context-data candidate, naming the offending component.
+    """Validate a context-data mapping, naming the offending component.
 
-    ``raw`` is either a mapping with keys ``marginal_a``, ``marginal_b``,
-    ``trans_b_given_a``, ``trans_a_given_b`` (arrays / nested lists) or an
-    already-built :class:`ContextData` (revalidated by reconstruction).
+    ``raw`` has keys ``marginal_a``, ``marginal_b``, ``trans_b_given_a``,
+    ``trans_a_given_b`` (arrays / nested lists) and optionally ``alphabet``.
     """
-    if isinstance(raw, ContextData):
-        parts = {
-            "marginal_a": raw.marginal_a.probs,
-            "marginal_b": raw.marginal_b.probs,
-            "trans_b_given_a": raw.trans_b_given_a.rows,
-            "trans_a_given_b": raw.trans_a_given_b.rows,
-            "alphabet": raw.alphabet,
-        }
-        raw = parts
     if not isinstance(raw, Mapping):
-        raise ValidationError("context data must be a mapping or ContextData")
+        raise ValidationError("context data must be a mapping")
     missing = [k for k in _CONTEXT_KEYS if k not in raw]
     if missing:
         raise ValidationError(f"missing context component(s): {', '.join(missing)}")
@@ -198,20 +193,9 @@ def validate_context_data(raw) -> ContextData:
     if not isinstance(alphabet, (list, tuple)) or not all(isinstance(x, str) for x in alphabet):
         raise ValidationError(f"alphabet must be a list of string labels, got {alphabet!r}")
     alphabet = _labels(alphabet)
-
-    def build(key, cls):
-        try:
-            return cls(np.asarray(raw[key], dtype=float), alphabet)
-        except ValidationError as exc:
-            raise ValidationError(f"{key}: {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{key}: not a numeric array ({exc})") from exc
-
+    kinds = (Distribution, Distribution, TransitionMatrix, TransitionMatrix)
     return ContextData(
-        marginal_a=build("marginal_a", Distribution),
-        marginal_b=build("marginal_b", Distribution),
-        trans_b_given_a=build("trans_b_given_a", TransitionMatrix),
-        trans_a_given_b=build("trans_a_given_b", TransitionMatrix),
+        **{key: _named(key, kind, raw[key], alphabet) for key, kind in zip(_CONTEXT_KEYS, kinds)}
     )
 
 
@@ -243,31 +227,17 @@ class JointTable:
     alphabet: tuple[str, ...] = ALPHABET
 
     def __post_init__(self):
-        entries = _frozen(self.entries)
+        entries, labels = _probability_table(
+            self.entries, self.alphabet, 2, "joint probabilities"
+        )
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "order", tuple(self.order))
-        object.__setattr__(self, "alphabet", _labels(self.alphabet))
-        n = len(self.alphabet)
-        if entries.shape != (n, n):
-            raise ValidationError(f"expected a {n}x{n} joint table, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
-            raise ValidationError("joint probabilities must be finite")
-        if np.any(entries < -PROB_TOL) or np.any(entries > 1 + PROB_TOL):
-            raise ValidationError("joint probabilities must lie in [0, 1]")
-        total = float(entries.sum())
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(_sum_error("joint probabilities sum to", total))
+        object.__setattr__(self, "alphabet", labels)
 
     def prob(self, first: str, second: str) -> float:
         i = self.alphabet.index(first)
         j = self.alphabet.index(second)
         return float(self.entries[i, j])
-
-    def first_marginal(self) -> Distribution:
-        return Distribution(self.entries.sum(axis=1), self.alphabet)
-
-    def second_marginal(self) -> Distribution:
-        return Distribution(self.entries.sum(axis=0), self.alphabet)
 
 
 def joint_distribution(

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import NORM_TOL, OrthonormalBasis, delta_basis
-from .probability import PROB_TOL, ContextData, Distribution, TransitionMatrix, ValidationError
+from .probability import (
+    PROB_TOL,
+    ContextData,
+    Distribution,
+    TransitionMatrix,
+    ValidationError,
+    _frozen,
+)
 
 TRIGONOMETRIC = "trigonometric"
 HYPERBOLIC = "hyperbolic"
@@ -38,23 +45,15 @@ class PhaseConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class InterferenceProfile:
-    """Interference coefficients, their classification and chosen phases.
-
-    ``thetas`` is None for hyperbolic contexts (no cosine parametrization).
-    """
+    """Interference coefficients, their classification and chosen phases."""
 
     lambdas: np.ndarray
     classification: str
-    thetas: np.ndarray | None
+    thetas: np.ndarray
 
     def __post_init__(self):
-        lambdas = np.array(self.lambdas, dtype=float)
-        lambdas.setflags(write=False)
-        object.__setattr__(self, "lambdas", lambdas)
-        if self.thetas is not None:
-            thetas = np.array(self.thetas, dtype=float)
-            thetas.setflags(write=False)
-            object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "lambdas", _frozen(self.lambdas))
+        object.__setattr__(self, "thetas", _frozen(self.thetas))
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def representation_to_json(rep: QLRepresentation) -> dict:
 
     return {
         "lambda": rep.profile.lambdas.tolist(),
-        "theta": rep.profile.thetas.tolist() if rep.profile.thetas is not None else None,
+        "theta": rep.profile.thetas.tolist(),
         "classification": rep.profile.classification,
         "psi": _complex_pairs(rep.psi),
         "a_basis": [_complex_pairs(v) for v in rep.a_basis.vectors],

@@ -89,6 +89,17 @@ def test_covariance_in_unit_interval(rng):
         assert -1.0 <= ql.covariance(joint) <= 1.0
 
 
+def test_covariance_ignores_labels(rng):
+    for _ in range(100):
+        raw = rng.random((2, 2))
+        entries = raw / raw.sum()
+        values = {
+            ql.covariance(ql.JointTable(("a", "b"), entries, alphabet))
+            for alphabet in (("F", "I"), ("I", "F"), ("x", "y"))
+        }
+        assert len(values) == 1
+
+
 def test_bell_check_violating_triple():
     report = ql.bell_check(ql.spin_system(*VIOLATING_THETAS))
     assert report.cov_ab == pytest.approx(-0.5, abs=1e-12)

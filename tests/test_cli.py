@@ -222,20 +222,62 @@ def test_feasibility_thetas(capsys):
     assert code == 0 and not payload["feasible"] and payload["witness"] is None
 
 
+UNIFORM_SYSTEM = {
+    "marginal_a": [0.5, 0.5],
+    "marginal_b": [0.5, 0.5],
+    "marginal_c": [0.5, 0.5],
+    "joint_ab": [[0.25, 0.25], [0.25, 0.25]],
+    "joint_bc": [[0.25, 0.25], [0.25, 0.25]],
+    "joint_ca": [[0.25, 0.25], [0.25, 0.25]],
+}
+
+
 def test_feasibility_from_json(capsys, tmp_path):
-    system = {
-        "marginal_a": [0.5, 0.5],
-        "marginal_b": [0.5, 0.5],
-        "marginal_c": [0.5, 0.5],
-        "joint_ab": [[0.25, 0.25], [0.25, 0.25]],
-        "joint_bc": [[0.25, 0.25], [0.25, 0.25]],
-        "joint_ca": [[0.25, 0.25], [0.25, 0.25]],
-    }
     path = tmp_path / "system.json"
-    path.write_text(json.dumps(system))
+    path.write_text(json.dumps(UNIFORM_SYSTEM))
     code, out, _ = run(capsys, "feasibility", "--input", path)
     assert code == 0
     assert json.loads(out)["feasible"]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("marginal_a", ["x", 0.5]), ("joint_ab", [[0.25, 0.25], [0.5]])]
+)
+def test_feasibility_refuses_malformed_array(capsys, tmp_path, key, value):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(UNIFORM_SYSTEM, **{key: value})))
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "feasibility", "--input", path, "--output", out_path)
+    _assert_single_error(code, out, err, out_path)
+    assert err.startswith(f"error: {key}: not a numeric array")
+
+
+PAYOFF_ERROR = "error: part 0 payoff 'b': not a numeric array"
+
+
+@pytest.mark.parametrize("command", ["average", "simulate"])
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda doc: doc["parts"][0]["payoffs"].update(b=[["a", 1], [1, 1]]), PAYOFF_ERROR),
+        (lambda doc: doc["parts"][0]["payoffs"].update(b=[[1, -1], [-1]]), PAYOFF_ERROR),
+        (lambda doc: doc.update(players="ab"), "error: players must be a list of names, got 'ab'"),
+    ],
+    ids=["non-numeric-payoff", "ragged-payoff", "players-string"],
+)
+def test_malformed_game_is_a_domain_error(capsys, d1_file, tmp_path, command, mutate, message):
+    doc = ql.game_to_json(helpers.zero_sum_spec(players=("a", "b")))
+    mutate(doc)
+    game_path = tmp_path / "game.json"
+    game_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.json"
+    extra = ["--trials", "10", "--seed", "1"] if command == "simulate" else []
+    code, out, err = run(
+        capsys, command, "--game", game_path, "--context", d1_file, *extra,
+        "--output", out_path,
+    )
+    _assert_single_error(code, out, err, out_path)
+    assert err.startswith(message)
 
 
 def test_simulate_deterministic(capsys, d1_file, game_file):

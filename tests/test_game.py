@@ -36,13 +36,6 @@ def test_part_average_zero_payoff(d1):
     assert ql.part_average(joint, ql.PayoffMatrix(np.zeros((2, 2)))) == 0.0
 
 
-def test_part_average_alphabet_mismatch(d1):
-    joint = ql.joint_distribution(d1.marginal_a, d1.trans_b_given_a)
-    payoff = ql.PayoffMatrix([[1.0, -1.0], [-1.0, 1.0]], alphabet=("X", "Y"))
-    with pytest.raises(ql.ValidationError, match="alphabet mismatch"):
-        ql.part_average(joint, payoff)
-
-
 def test_total_averages_d1_zero_sum(d1):
     spec = helpers.zero_sum_spec()
     averages = ql.total_averages(spec, d1)

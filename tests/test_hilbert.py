@@ -94,6 +94,11 @@ def test_orthonormal_basis_rejects_skewed():
         ql.OrthonormalBasis(np.array([[1.0, 0.0], [0.5, 0.5]], dtype=complex))
 
 
+def test_hilbert_errors_are_validation_errors():
+    with pytest.raises(ql.ValidationError, match="orthonormal"):
+        ql.OrthonormalBasis([[1.0, 0.0], [0.5, 0.5]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
 def test_orthonormal_basis_rejects_non_finite(bad):
     with warnings.catch_warnings():

@@ -28,6 +28,11 @@ def test_validate_rejects_negative_marginal():
         ql.validate_context_data(raw)
 
 
+def test_validate_refuses_context_data_object(d1):
+    with pytest.raises(ql.ValidationError, match="context data must be a mapping"):
+        ql.validate_context_data(d1)
+
+
 def test_validate_missing_component():
     raw = dict(helpers.D1_RAW)
     del raw["marginal_b"]
@@ -98,7 +103,7 @@ def test_joint_sums_to_one_and_reproduces_first_marginal(p, q, r):
     trans = ql.TransitionMatrix([[q, 1.0 - q], [r, 1.0 - r]])
     joint = ql.joint_distribution(marginal, trans)
     assert abs(joint.entries.sum() - 1.0) <= 1e-12
-    assert np.max(np.abs(joint.first_marginal().probs - marginal.probs)) <= 1e-12
+    assert np.max(np.abs(joint.entries.sum(axis=1) - marginal.probs)) <= 1e-12
 
 
 @given(q=st.floats(0.0, 1.0))
@@ -146,6 +151,30 @@ def test_joint_sum_error_names_deviation():
     entries = [[0.7 + 6e-13, 0.3 + 6e-13], [0.0, 0.0]]
     with pytest.raises(ql.ValidationError, match=r"sum - 1 = 1\.2e-12, beyond PROB_TOL"):
         ql.JointTable(("a", "b"), entries)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ql.Distribution([-0.2, 1.2]), r"^probabilities must lie in \[0, 1\], got -0\.2$"),
+        (
+            lambda: ql.TransitionMatrix([[1.5, -0.5], [0.5, 0.5]]),
+            r"^transition probabilities must lie in \[0, 1\], got 1\.5$",
+        ),
+        (
+            lambda: ql.JointTable(("a", "b"), [[0.25, 0.25], [0.75, -0.25]]),
+            r"^joint probabilities must lie in \[0, 1\], got -0\.25$",
+        ),
+        (lambda: ql.TransitionMatrix([[np.inf, 0.0], [0.5, 0.5]]), "got inf$"),
+        (lambda: ql.JointTable(("a", "b"), [[0.5, 0.5], [0.0, np.nan]]), "got nan$"),
+        (lambda: ql.Distribution(["x", 0.5]), "^not a numeric array"),
+        (lambda: ql.JointTable(("a", "b"), [[0.5, 0.5], [0.0]]), "^not a numeric array"),
+    ],
+    ids=["distribution", "transition", "joint", "inf", "nan", "non-numeric", "ragged"],
+)
+def test_table_errors_name_the_value(build, message):
+    with pytest.raises(ql.ValidationError, match=message):
+        build()
 
 
 def test_distribution_refuses_repeated_label():
