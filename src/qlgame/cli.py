@@ -59,16 +59,23 @@ def _load_json(path: str):
 def _load_contexts(path: str):
     """Either a single context object or {"pairs": [{chooser, tester, context}]}."""
     obj = _load_json(path)
-    if isinstance(obj, dict) and "pairs" in obj:
-        pairs = {}
-        for entry in obj["pairs"]:
-            try:
-                key = (entry["chooser"], entry["tester"])
-                pairs[key] = validate_context_data(entry["context"])
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"malformed pair context entry: {exc}") from exc
-        return pairs
-    return context_from_json(obj)
+    if not (isinstance(obj, dict) and "pairs" in obj):
+        return context_from_json(obj)
+    entries = obj["pairs"]
+    if not isinstance(entries, list):
+        raise ValidationError(
+            f"pairs must be a list of pair contexts, got {type(entries).__name__}"
+        )
+    pairs = {}
+    for entry in entries:
+        try:
+            key = (entry["chooser"], entry["tester"])
+            pairs[key] = _named(
+                f"pair ({key[0]}, {key[1]})", validate_context_data, entry["context"]
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed pair context entry: {exc}") from exc
+    return pairs
 
 
 def _csv_cell(value) -> str:

@@ -379,6 +379,18 @@ def game_to_json(spec: GameSpec) -> dict:
     }
 
 
+def _payoffs_from_json(k: int, payoffs) -> dict[str, PayoffMatrix]:
+    if not isinstance(payoffs, Mapping):
+        raise ValidationError(
+            f"part {k} payoffs must map player names to payoff matrices, "
+            f"got {type(payoffs).__name__}"
+        )
+    return {
+        name: _named(f"part {k} payoff {name!r}", PayoffMatrix, m)
+        for name, m in payoffs.items()
+    }
+
+
 def game_from_json(obj) -> GameSpec:
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
@@ -390,10 +402,7 @@ def game_from_json(obj) -> GameSpec:
             GamePart(
                 chooser=p["chooser"],
                 tester=p["tester"],
-                payoffs={
-                    name: _named(f"part {k} payoff {name!r}", PayoffMatrix, m)
-                    for name, m in p["payoffs"].items()
-                },
+                payoffs=_payoffs_from_json(k, p["payoffs"]),
             )
             for k, p in enumerate(obj["parts"])
         )

@@ -25,18 +25,21 @@ def _as_complex(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise HilbertError(f"expected a vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise HilbertError("vector entries must be finite")
     return arr
 
 
-def inner_product(v, w) -> complex:
-    """Hermitian inner product ``sum_k v[k] * conj(w[k])``."""
-    v = _as_complex(v)
-    w = _as_complex(w)
+def _inner(v: np.ndarray, w: np.ndarray) -> complex:
+    """``sum_k v[k] * conj(w[k])`` of two converted vectors."""
     if v.shape != w.shape:
         raise HilbertError(f"dimension mismatch: {v.size} vs {w.size}")
     return complex(np.sum(v * np.conj(w)))
+
+
+def inner_product(v, w) -> complex:
+    """Hermitian inner product ``sum_k v[k] * conj(w[k])``."""
+    return _inner(_as_complex(v), _as_complex(w))
 
 
 def norm(v) -> float:
@@ -80,13 +83,19 @@ def delta_basis(n: int) -> OrthonormalBasis:
     return OrthonormalBasis(np.eye(n, dtype=complex))
 
 
+def _unit(v, what: str) -> np.ndarray:
+    """``v`` converted, refused unless its norm is within NORM_TOL of 1."""
+    arr = _as_complex(v)
+    length = float(np.linalg.norm(arr))
+    if not abs(length - 1.0) <= NORM_TOL:
+        raise HilbertError(f"{what} has norm {length:.12g}, expected 1")
+    return arr
+
+
 def born_probability(state, basis_vector) -> float:
     """Squared modulus ``|<state, basis_vector>|^2`` for unit-norm inputs."""
-    if not is_unit(state):
-        raise HilbertError(f"state has norm {norm(state):.12g}, expected 1")
-    if not is_unit(basis_vector):
-        raise HilbertError(f"basis vector has norm {norm(basis_vector):.12g}, expected 1")
-    return abs(inner_product(state, basis_vector)) ** 2
+    state = _unit(state, "state")
+    return abs(_inner(state, _unit(basis_vector, "basis vector"))) ** 2
 
 
 def expand_in_basis(v, basis: OrthonormalBasis) -> np.ndarray:

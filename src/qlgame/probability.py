@@ -63,21 +63,30 @@ def _probability_table(values, alphabet, ndim: int, noun: str, sum_axis: int | N
         raise ValidationError(
             f"expected {'x'.join(map(str, shape))} {noun}, got shape {arr.shape}"
         )
+    # min and max propagate nan, so nan and inf fail these comparisons too
+    if (
+        arr.min() >= -PROB_TOL
+        and arr.max() <= 1.0 + PROB_TOL
+        and np.abs(arr.sum(axis=sum_axis) - 1.0).max() <= PROB_TOL
+    ):
+        return arr, labels
+    raise ValidationError(_table_fault(arr, noun, sum_axis))
+
+
+def _table_fault(arr: np.ndarray, noun: str, sum_axis: int | None) -> str:
+    """Message for a refused table: the first entry outside [0, 1], else
+    the first sum more than PROB_TOL from 1."""
     # negated so that nan and inf land outside too
     outside = ~((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL))
     if outside.any():
-        raise ValidationError(f"{noun} must lie in [0, 1], got {arr[outside][0]:.12g}")
+        return f"{noun} must lie in [0, 1], got {arr[outside][0]:.12g}"
     sums = np.ravel(arr.sum(axis=sum_axis))
-    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
-    if off.size:
-        what = f"{noun} sum to" if sum_axis is None else f"{noun} row {off[0]} sums to"
-        total = float(sums[off[0]])
-        # 12 significant digits print a sum just past PROB_TOL as 1, so the
-        # deviation itself is what names the fault.
-        raise ValidationError(
-            f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
-        )
-    return arr, labels
+    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)[0]
+    what = f"{noun} sum to" if sum_axis is None else f"{noun} row {off} sums to"
+    total = float(sums[off])
+    # 12 significant digits print a sum just past PROB_TOL as 1, so the
+    # deviation itself is what names the fault.
+    return f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,10 @@ class QLRepresentation:
         psi = np.array(self.psi, dtype=complex)
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
+
+    @cached_property
+    def _reconstructed(self) -> ContextData:
+        return born_context(self.psi, self.a_basis, self.b_basis, self.source.alphabet)
 
 
 def _require_two_outcomes(n: int, what: str) -> None:
@@ -235,8 +240,11 @@ def _verify_round_trip(rep: QLRepresentation) -> None:
 
 
 def reconstruct_data(rep: QLRepresentation) -> ContextData:
-    """Recover the context from the representation via squared inner products."""
-    return born_context(rep.psi, rep.a_basis, rep.b_basis, rep.source.alphabet)
+    """Recover the context from the representation via squared inner products.
+
+    Computed once per representation: repeated calls return the same object.
+    """
+    return rep._reconstructed
 
 
 def _complex_pairs(values) -> list[list[float]]:

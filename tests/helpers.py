@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 
 import qlgame as ql
+from qlgame.probability import PROB_TOL, _frozen, _labels
 
 D1_RAW = {
     "marginal_a": [1 / 3, 2 / 3],
@@ -195,3 +196,27 @@ def reference_stabilization(outcomes, window_fraction, tol, alphabet):
     tail = rows[n - int(n * window_fraction):]
     oscillation = max(abs(v - f) for row in tail for v, f in zip(row, final))
     return final, oscillation, oscillation <= tol
+
+
+def reference_probability_table(values, alphabet, ndim, noun, sum_axis=None):
+    """The table check that locates every fault up front: shape, then the
+    first entry outside [0, 1], then the first sum more than PROB_TOL from 1."""
+    labels = _labels(alphabet)
+    arr = _frozen(values)
+    shape = (len(labels),) * ndim
+    if arr.shape != shape:
+        raise ql.ValidationError(
+            f"expected {'x'.join(map(str, shape))} {noun}, got shape {arr.shape}"
+        )
+    outside = ~((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL))
+    if outside.any():
+        raise ql.ValidationError(f"{noun} must lie in [0, 1], got {arr[outside][0]:.12g}")
+    sums = np.ravel(arr.sum(axis=sum_axis))
+    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
+    if off.size:
+        what = f"{noun} sum to" if sum_axis is None else f"{noun} row {off[0]} sums to"
+        total = float(sums[off[0]])
+        raise ql.ValidationError(
+            f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
+        )
+    return arr, labels

@@ -262,8 +262,12 @@ PAYOFF_ERROR = "error: part 0 payoff 'b': not a numeric array"
         (lambda doc: doc["parts"][0]["payoffs"].update(b=[["a", 1], [1, 1]]), PAYOFF_ERROR),
         (lambda doc: doc["parts"][0]["payoffs"].update(b=[[1, -1], [-1]]), PAYOFF_ERROR),
         (lambda doc: doc.update(players="ab"), "error: players must be a list of names, got 'ab'"),
+        (
+            lambda doc: doc["parts"][0].update(payoffs=[[1, -1], [-1, 1]]),
+            "error: part 0 payoffs must map player names to payoff matrices, got list",
+        ),
     ],
-    ids=["non-numeric-payoff", "ragged-payoff", "players-string"],
+    ids=["non-numeric-payoff", "ragged-payoff", "players-string", "payoffs-list"],
 )
 def test_malformed_game_is_a_domain_error(capsys, d1_file, tmp_path, command, mutate, message):
     doc = ql.game_to_json(helpers.zero_sum_spec(players=("a", "b")))
@@ -274,6 +278,35 @@ def test_malformed_game_is_a_domain_error(capsys, d1_file, tmp_path, command, mu
     extra = ["--trials", "10", "--seed", "1"] if command == "simulate" else []
     code, out, err = run(
         capsys, command, "--game", game_path, "--context", d1_file, *extra,
+        "--output", out_path,
+    )
+    _assert_single_error(code, out, err, out_path)
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("command", ["average", "simulate"])
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"pairs": 5}, "error: pairs must be a list of pair contexts, got int"),
+        ({"pairs": [5]}, "error: malformed pair context entry: 'int' object is not subscriptable"),
+        (
+            {"pairs": [{"chooser": "a", "tester": "b",
+                        "context": dict(helpers.D1_RAW, marginal_a=[-1, 2])}]},
+            "error: pair (a, b): marginal_a: probabilities must lie in [0, 1], got -1\n",
+        ),
+    ],
+    ids=["pairs-int", "entry-int", "bad-pair-context"],
+)
+def test_malformed_pairs_file_is_a_domain_error(capsys, tmp_path, command, doc, message):
+    game_path = tmp_path / "game.json"
+    game_path.write_text(json.dumps(ql.game_to_json(helpers.zero_sum_spec(players=("a", "b")))))
+    ctx_path = tmp_path / "pairs.json"
+    ctx_path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.json"
+    extra = ["--trials", "10", "--seed", "1"] if command == "simulate" else []
+    code, out, err = run(
+        capsys, command, "--game", game_path, "--context", ctx_path, *extra,
         "--output", out_path,
     )
     _assert_single_error(code, out, err, out_path)

@@ -42,6 +42,26 @@ def test_born_probability_rejects_non_unit():
         ql.born_probability(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize(
+    "state, basis_vector, message",
+    [
+        (np.eye(2), [1.0, 0.0], "expected a vector, got shape (2, 2)"),
+        ([complex(0.0, np.inf), 0.0], [1.0, 0.0], "vector entries must be finite"),
+        ([0.6, 0.6j], [1.0, 0.0], "state has norm 0.848528137424, expected 1"),
+        ([0.6, 0.8j], [0.5, 0.5], "basis vector has norm 0.707106781187, expected 1"),
+        ([0.6, 0.8j], [1.0, 0.0, 0.0], "dimension mismatch: 2 vs 3"),
+        # the state is refused before the basis vector is looked at
+        ([0.6, 0.6j], [np.nan, 0.0], "state has norm 0.848528137424, expected 1"),
+    ],
+    ids=["2d-state", "non-finite-state", "non-unit-state", "non-unit-basis-vector",
+         "dimension-mismatch", "state-first"],
+)
+def test_born_probability_refusal_messages(state, basis_vector, message):
+    with pytest.raises(HilbertError) as info:
+        ql.born_probability(state, basis_vector)
+    assert str(info.value) == message
+
+
 def test_born_probability_d1_amplitude(d1):
     rep = ql.build_representation(d1)
     assert ql.born_probability(rep.psi, rep.b_basis[0]) == pytest.approx(0.5, abs=1e-12)

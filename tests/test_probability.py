@@ -1,9 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
+from qlgame.probability import PROB_TOL, _probability_table
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -196,3 +200,61 @@ def test_joint_refuses_repeated_label():
 def test_validate_refuses_alphabet_that_is_not_string_labels(alphabet):
     with pytest.raises(ql.ValidationError, match="alphabet must be a list of string labels"):
         ql.validate_context_data(dict(helpers.D1_RAW, alphabet=alphabet))
+
+
+# entries at, just inside and just outside [-PROB_TOL, 1 + PROB_TOL], and non-finite
+EDGE_ENTRIES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0, -PROB_TOL, 1.0 + PROB_TOL]),
+    st.floats(0.5, 1.5).map(lambda f: -f * PROB_TOL),
+    st.floats(0.5, 1.5).map(lambda f: 1.0 + f * PROB_TOL),
+)
+
+
+@st.composite
+def probability_tables(draw):
+    """A table normalised along its sum axis; then up to two edge entries,
+    each possibly balanced by another entry of its sum so the sum holds;
+    then possibly one entry shifted by 0.5 to 2 PROB_TOL."""
+    n = draw(st.integers(2, 4))
+    ndim = draw(st.sampled_from([1, 2]))
+    sum_axis = None if ndim == 1 else draw(st.sampled_from([None, 1]))
+    if ndim == 1:
+        noun = "probabilities"
+    else:
+        noun = "joint probabilities" if sum_axis is None else "transition probabilities"
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n**ndim, max_size=n**ndim))
+    table = np.array(weights).reshape((n,) * ndim)
+    table = table / table.sum(axis=sum_axis, keepdims=True)
+    # each row of ``groups`` is one sum the check tests (a view into ``table``)
+    groups = table.reshape(-1, n) if sum_axis == 1 else table.reshape(1, -1)
+    group = st.integers(0, groups.shape[0] - 1)
+    position = st.integers(0, groups.shape[1] - 1)
+    for g, k, value, balance in draw(
+        st.lists(st.tuples(group, position, EDGE_ENTRIES, st.booleans()), max_size=2)
+    ):
+        old, groups[g, k] = groups[g, k], value
+        if balance and math.isfinite(value):
+            groups[g, (k + 1) % groups.shape[1]] += old - value
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        groups[draw(group), draw(position)] += sign * draw(st.floats(0.5, 2.0)) * PROB_TOL
+    return table, tuple("FIXY"[:n]), ndim, noun, sum_axis
+
+
+def _table_outcome(check, *args):
+    try:
+        arr, labels = check(*args)
+    except ql.ValidationError as exc:
+        return "refused", str(exc)
+    return "accepted", arr.dtype, arr.shape, arr.tobytes(), arr.flags.writeable, labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(probability_tables())
+@example((np.array([1.0 + PROB_TOL, -PROB_TOL]), ("F", "I"), 1, "probabilities", None))
+def test_table_check_matches_reference(case):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _table_outcome(_probability_table, *case)
+        want = _table_outcome(helpers.reference_probability_table, *case)
+    assert got == want

@@ -273,3 +273,10 @@ def test_representation_json_fields(d1):
     assert set(payload) >= {"lambda", "theta", "classification", "psi", "a_basis", "b_basis"}
     again = ql.validate_context_data(payload["reconstructed"])
     assert again.r1_symmetric
+
+
+def test_reconstruction_is_computed_once_per_representation(d1):
+    rep = ql.build_representation(d1)
+    back = ql.reconstruct_data(rep)
+    assert ql.reconstruct_data(rep) is back
+    assert ql.representation_to_json(rep)["reconstructed"] == ql.context_to_json(back)
