@@ -29,6 +29,7 @@ from .representation import (
     HyperbolicContextError,
     QLRepresentation,
     born_context,
+    born_tables,
     build_representation,
 )
 
@@ -339,7 +340,7 @@ def _born_game(psi, a_basis, b_basis, payoff_part1, payoff_part2):
     convention is not checked.
     """
     alphabet = tuple(f"o{k}" for k in range(a_basis.dimension))
-    context = born_context(psi, a_basis, b_basis, alphabet)
+    context = born_context(born_tables(psi, a_basis, b_basis), alphabet)
     h1, h2 = (
         PayoffMatrix(h.entries if isinstance(h, PayoffMatrix) else h)
         for h in (payoff_part1, payoff_part2)

@@ -8,7 +8,9 @@ vectors; each observable is an orthonormal basis of its outcomes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,10 +23,15 @@ class HilbertError(ValidationError):
     """Dimension mismatch or a vector/basis violating its normalization."""
 
 
-def _as_complex(v) -> np.ndarray:
+def _vector(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise HilbertError(f"expected a vector, got shape {arr.shape}")
+    return arr
+
+
+def _as_complex(v) -> np.ndarray:
+    arr = _vector(v)
     if not np.isfinite(arr).all():
         raise HilbertError("vector entries must be finite")
     return arr
@@ -34,7 +41,7 @@ def _inner(v: np.ndarray, w: np.ndarray) -> complex:
     """``sum_k v[k] * conj(w[k])`` of two converted vectors."""
     if v.shape != w.shape:
         raise HilbertError(f"dimension mismatch: {v.size} vs {w.size}")
-    return complex(np.sum(v * np.conj(w)))
+    return complex(np.vdot(w, v))
 
 
 def inner_product(v, w) -> complex:
@@ -43,11 +50,16 @@ def inner_product(v, w) -> complex:
 
 
 def norm(v) -> float:
-    return float(np.linalg.norm(_as_complex(v)))
+    """Euclidean length of a vector, its squares summed in Python floats.
 
-
-def is_unit(v, tol: float = NORM_TOL) -> bool:
-    return abs(norm(v) - 1.0) <= tol
+    Overflow-safe: squares past the float range give inf, and a nan or inf
+    entry gives nan or inf, without a numpy warning.
+    """
+    re = im = 0.0
+    for z in _vector(v).tolist():
+        re += z.real * z.real
+        im += z.imag * z.imag
+    return math.sqrt(re + im)
 
 
 @dataclass(frozen=True)
@@ -60,10 +72,14 @@ class OrthonormalBasis:
         vectors = np.array(self.vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise HilbertError(f"expected n vectors of dimension n, got {vectors.shape}")
-        if not np.all(np.isfinite(vectors)):
-            raise HilbertError("basis vectors must be finite")
+        # an entry of modulus past 1 + NORM_TOL (or nan) fails the Gram check
+        # anyway; refusing it first keeps the Gram product from overflowing
+        if not np.abs(vectors).max() <= 1.0 + NORM_TOL:
+            if not np.isfinite(vectors).all():
+                raise HilbertError("basis vectors must be finite")
+            raise HilbertError("vectors are not orthonormal")
         gram = vectors @ vectors.conj().T
-        if np.max(np.abs(gram - np.eye(vectors.shape[0]))) > NORM_TOL:
+        if np.abs(gram - np.eye(vectors.shape[0])).max() > NORM_TOL:
             raise HilbertError("vectors are not orthonormal")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
@@ -79,15 +95,22 @@ class OrthonormalBasis:
         return self.vectors.shape[0]
 
 
+@lru_cache(maxsize=8)
 def delta_basis(n: int) -> OrthonormalBasis:
+    """The standard basis of size n; one shared, read-only instance per size."""
     return OrthonormalBasis(np.eye(n, dtype=complex))
 
 
 def _unit(v, what: str) -> np.ndarray:
-    """``v`` converted, refused unless its norm is within NORM_TOL of 1."""
-    arr = _as_complex(v)
-    length = float(np.linalg.norm(arr))
+    """``v`` converted, refused unless its norm is within NORM_TOL of 1.
+
+    A nan or inf entry makes the norm nan or inf, so a finite vector is
+    accepted on the norm alone; a refused one is named non-finite first.
+    """
+    arr = _vector(v)
+    length = norm(arr)
     if not abs(length - 1.0) <= NORM_TOL:
+        _as_complex(arr)
         raise HilbertError(f"{what} has norm {length:.12g}, expected 1")
     return arr
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hilbert import NORM_TOL, OrthonormalBasis, delta_basis
+from .hilbert import NORM_TOL, OrthonormalBasis, delta_basis, norm
 from .probability import (
     PROB_TOL,
     ContextData,
@@ -77,8 +77,16 @@ class QLRepresentation:
         object.__setattr__(self, "psi", psi)
 
     @cached_property
+    def _born_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`born_tables` of this representation, computed once and read-only."""
+        tables = born_tables(self.psi, self.a_basis, self.b_basis)
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
+    @cached_property
     def _reconstructed(self) -> ContextData:
-        return born_context(self.psi, self.a_basis, self.b_basis, self.source.alphabet)
+        return born_context(self._born_tables, self.source.alphabet)
 
 
 def _require_two_outcomes(n: int, what: str) -> None:
@@ -201,7 +209,7 @@ def born_tables(psi, a_basis: OrthonormalBasis, b_basis: OrthonormalBasis):
             f"dimension mismatch: psi has shape {psi.shape}, bases have "
             f"{a_basis.dimension} and {b_basis.dimension}"
         )
-    length = float(np.linalg.norm(psi))
+    length = norm(psi)
     if not abs(length - 1.0) <= NORM_TOL:
         raise ValidationError(f"psi has norm {length:.12g}, expected 1")
     born_a = np.abs(a_basis.vectors.conj() @ psi) ** 2
@@ -210,11 +218,10 @@ def born_tables(psi, a_basis: OrthonormalBasis, b_basis: OrthonormalBasis):
     return born_a, born_b, trans
 
 
-def born_context(
-    psi, a_basis: OrthonormalBasis, b_basis: OrthonormalBasis, alphabet
-) -> ContextData:
-    """The context whose probabilities are the renormalised Born tables."""
-    born_a, born_b, trans = born_tables(psi, a_basis, b_basis)
+def born_context(tables, alphabet) -> ContextData:
+    """The context whose probabilities are the renormalised Born ``tables``
+    (as returned by :func:`born_tables`)."""
+    born_a, born_b, trans = tables
     return ContextData(
         marginal_a=Distribution(born_a / born_a.sum(), alphabet),
         marginal_b=Distribution(born_b / born_b.sum(), alphabet),
@@ -224,14 +231,15 @@ def born_context(
 
 
 def _verify_round_trip(rep: QLRepresentation) -> None:
-    psi, data = rep.psi, rep.source
-    if abs(np.linalg.norm(psi) - 1.0) > PHASE_TOL:
-        raise ValidationError(f"constructed state has norm {np.linalg.norm(psi):.12g}")
-    born_a, born_b, trans = born_tables(psi, rep.a_basis, rep.b_basis)
+    data = rep.source
+    length = norm(rep.psi)
+    if abs(length - 1.0) > PHASE_TOL:
+        raise ValidationError(f"constructed state has norm {length:.12g}")
+    born_a, born_b, trans = rep._born_tables
     worst = max(
-        float(np.max(np.abs(born_b - data.marginal_b.probs))),
-        float(np.max(np.abs(born_a - data.marginal_a.probs))),
-        float(np.max(np.abs(trans - data.trans_b_given_a.rows))),
+        float(np.abs(born_b - data.marginal_b.probs).max()),
+        float(np.abs(born_a - data.marginal_a.probs).max()),
+        float(np.abs(trans - data.trans_b_given_a.rows).max()),
     )
     if worst > PHASE_TOL:
         raise ValidationError(
@@ -242,7 +250,8 @@ def _verify_round_trip(rep: QLRepresentation) -> None:
 def reconstruct_data(rep: QLRepresentation) -> ContextData:
     """Recover the context from the representation via squared inner products.
 
-    Computed once per representation: repeated calls return the same object.
+    Computed once per representation from the Born tables that the round
+    trip already checked: repeated calls return the same object.
     """
     return rep._reconstructed
 

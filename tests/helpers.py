@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 
 import qlgame as ql
+from qlgame.hilbert import NORM_TOL, HilbertError
 from qlgame.probability import PROB_TOL, _frozen, _labels
 
 D1_RAW = {
@@ -220,3 +221,27 @@ def reference_probability_table(values, alphabet, ndim, noun, sum_axis=None):
             f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
         )
     return arr, labels
+
+
+def reference_born_probability(state, basis_vector, length=np.linalg.norm):
+    """Born probability checked one argument at a time: shape, finiteness,
+    then ``length`` (numpy's norm, whose overflow warnings are silenced)
+    within NORM_TOL of 1, then the dimension, then ``|sum(v * conj(w))|^2``."""
+
+    def unit(v, what):
+        arr = np.asarray(v, dtype=complex)
+        if arr.ndim != 1:
+            raise HilbertError(f"expected a vector, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise HilbertError("vector entries must be finite")
+        with np.errstate(all="ignore"):
+            size = float(length(arr))
+        if not abs(size - 1.0) <= NORM_TOL:
+            raise HilbertError(f"{what} has norm {size:.12g}, expected 1")
+        return arr
+
+    state = unit(state, "state")
+    basis_vector = unit(basis_vector, "basis vector")
+    if state.shape != basis_vector.shape:
+        raise HilbertError(f"dimension mismatch: {state.size} vs {basis_vector.size}")
+    return abs(complex(np.sum(state * np.conj(basis_vector)))) ** 2

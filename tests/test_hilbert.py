@@ -1,10 +1,13 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qlgame as ql
-from qlgame.hilbert import HilbertError, norm
+import helpers
+from qlgame.hilbert import NORM_TOL, HilbertError, norm
 from qlgame.representation import born_tables
 
 
@@ -129,3 +132,124 @@ def test_orthonormal_basis_rejects_non_finite(bad):
 
 def test_norm_helper():
     assert norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow and non-finite entries stay quiet
+        assert norm([1e300, 1e300]) == math.inf
+        assert norm([complex(0.0, -np.inf), 1.0]) == math.inf
+        assert math.isnan(norm([np.nan, np.inf]))
+    with pytest.raises(HilbertError, match=r"expected a vector, got shape \(2, 2\)"):
+        norm(np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ql.born_probability([1e300, 1e300], [1.0, 0.0]), "state has norm inf, expected 1"),
+        (lambda: ql.born_probability([1.0, 0.0], [1e300, 1e300]),
+         "basis vector has norm inf, expected 1"),
+        (lambda: born_tables(np.array([1e300, 1e300]), ql.delta_basis(2), ql.delta_basis(2)),
+         "psi has norm inf, expected 1"),
+        (lambda: ql.OrthonormalBasis([[1e300, 0.0], [0.0, 1.0]]), "vectors are not orthonormal"),
+        (lambda: ql.OrthonormalBasis([[0.0, 1.0], [1j * 1e300, 0.0]]), "vectors are not orthonormal"),
+    ],
+    ids=["born-state", "born-basis-vector", "born-tables", "basis", "basis-imaginary"],
+)
+def test_overflowing_input_is_refused_without_warning(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ql.ValidationError) as info:
+            call()
+    assert str(info.value) == message
+
+
+def test_delta_basis_is_shared_and_read_only():
+    basis = ql.delta_basis(3)
+    assert ql.delta_basis(3) is basis
+    assert np.array_equal(basis.vectors, np.eye(3))
+    with pytest.raises(ValueError):
+        basis.vectors[0, 0] = 2.0
+
+
+# Norms at, one ulp either side of and just inside or outside 1 -/+ NORM_TOL.
+NORM_EDGES = [
+    edge + shift
+    for edge in (1.0 - NORM_TOL, 1.0 + NORM_TOL)
+    for shift in (0.0, -1e-2 * NORM_TOL, 1e-2 * NORM_TOL)
+] + [
+    float(np.nextafter(edge, toward))
+    for edge in (1.0 - NORM_TOL, 1.0 + NORM_TOL)
+    for toward in (0.0, 2.0)
+]
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)]
+
+
+@st.composite
+def born_vectors(draw, n: int):
+    """A vector of n entries: unit, scaled to a NORM_TOL edge, scaled
+    anywhere, or scaled near 1e300; maybe real only, maybe with one nan or
+    inf entry, maybe reshaped to 2-D."""
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n))
+    v = np.array(parts[:n], dtype=complex)
+    if draw(st.booleans()):
+        v += 1j * np.array(parts[n:])
+    length = np.linalg.norm(v)
+    v = v / length if length > 1e-6 else np.eye(n, dtype=complex)[0]
+    v = v * draw({
+        "unit": st.just(1.0),
+        "edge": st.sampled_from(NORM_EDGES),
+        "scaled": st.floats(0.1, 10.0),
+        "huge": st.floats(1e299, 1e301),
+    }[draw(st.sampled_from(["unit"] * 4 + ["edge"] * 4 + ["scaled", "huge"]))])
+    bad = draw(st.sampled_from([None] * 10 + NON_FINITE))
+    if bad is not None:
+        v[draw(st.integers(0, n - 1))] = bad
+    return v.reshape(1, n) if draw(st.sampled_from([False] * 19 + [True])) else v
+
+
+@st.composite
+def born_inputs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.one_of(st.just(n), st.integers(1, 4)))
+    return draw(born_vectors(n)), draw(born_vectors(m))
+
+
+def _born_outcome(check, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return "value", check(*args, **kwargs)
+        except HilbertError as exc:
+            return "refused", str(exc)
+
+
+def _same(got, want) -> bool:
+    if got[0] == want[0] == "value":
+        return abs(got[1] - want[1]) <= 1e-15
+    return got == want
+
+
+def _last_bit_apart(v) -> bool:
+    """``hilbert.norm`` and numpy's norm of ``v`` differ in the last bit only."""
+    arr = np.asarray(v, dtype=complex)
+    if arr.ndim != 1 or not np.isfinite(arr).all():
+        return False
+    with np.errstate(all="ignore"):
+        theirs = float(np.linalg.norm(arr))
+    ours = norm(arr)
+    return math.isfinite(theirs) and ours != theirs and abs(ours - theirs) <= math.ulp(theirs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(born_inputs())
+@example(([1e300, 1e300], [1.0, 0.0]))
+@example(([1.0 + NORM_TOL, 0.0], [1.0, 0.0]))
+@example(([1.0, 0.0], [1.0 - NORM_TOL, 0.0]))
+@example((np.array([0.6, 0.8j]), np.array([np.inf, 0.0])))
+def test_born_probability_matches_reference(case):
+    got = _born_outcome(ql.born_probability, *case)
+    # the same decision, message and value as the reference on the same norm
+    assert _same(got, _born_outcome(helpers.reference_born_probability, *case, length=norm))
+    # and on numpy's norm, unless its dot, which may fuse multiply-adds,
+    # rounds a sum of squares one ulp away
+    if not _same(got, _born_outcome(helpers.reference_born_probability, *case)):
+        assert any(_last_bit_apart(v) for v in case)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 
 import qlgame as ql
 import helpers
+from qlgame import representation
 from qlgame.representation import PHASE_TOL, _select_phases, born_tables
 
 SQRT6_OVER_12 = math.sqrt(6.0) / 12.0
@@ -275,8 +276,16 @@ def test_representation_json_fields(d1):
     assert again.r1_symmetric
 
 
-def test_reconstruction_is_computed_once_per_representation(d1):
+def test_reconstruction_is_computed_once_per_representation(d1, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return born_tables(*args)
+
+    monkeypatch.setattr(representation, "born_tables", counted)
     rep = ql.build_representation(d1)
     back = ql.reconstruct_data(rep)
     assert ql.reconstruct_data(rep) is back
     assert ql.representation_to_json(rep)["reconstructed"] == ql.context_to_json(back)
+    assert len(calls) == 1  # the tables the round trip checked are reused
