@@ -92,6 +92,9 @@ def covariance(joint: JointTable) -> float:
     return float(_SIGNS @ joint.entries @ _SIGNS)
 
 
+_JOINT_NAMES = ("joint_ab", "joint_bc", "joint_ca")
+
+
 @dataclass(frozen=True)
 class PairwiseSystem:
     """Three marginals plus the three chooser-first pairwise joint tables
@@ -106,20 +109,22 @@ class PairwiseSystem:
     joint_ca: JointTable
 
     def __post_init__(self):
-        checks = (
-            ("joint_ab", self.joint_ab, self.marginal_a, self.marginal_b),
-            ("joint_bc", self.joint_bc, self.marginal_b, self.marginal_c),
-            ("joint_ca", self.joint_ca, self.marginal_c, self.marginal_a),
-        )
-        for name, joint, first, second in checks:
-            entries = joint.entries
-            d1 = float(np.max(np.abs(entries.sum(axis=1) - first.probs)))
-            d2 = float(np.max(np.abs(entries.sum(axis=0) - second.probs)))
-            if max(d1, d2) > PROB_TOL:
-                raise ValidationError(
-                    f"{name} marginals disagree with the stated distributions "
-                    f"by {max(d1, d2):.3g}"
-                )
+        marginals = (self.marginal_a, self.marginal_b, self.marginal_c)
+        joints = (self.joint_ab, self.joint_bc, self.joint_ca)
+        if len({part.alphabet for part in marginals + joints}) != 1:
+            raise ValidationError("all components must share one outcome alphabet")
+        entries = np.array([joint.entries for joint in joints])
+        # joint t's first observable is marginal t, its second marginal t + 1 (cyclically)
+        probs = np.array([m.probs for m in marginals + marginals[:1]])
+        gaps = np.maximum(
+            np.abs(entries.sum(axis=2) - probs[:3]), np.abs(entries.sum(axis=1) - probs[1:])
+        ).max(axis=1)
+        if gaps.max() > PROB_TOL:
+            t = int(np.argmax(gaps > PROB_TOL))
+            raise ValidationError(
+                f"{_JOINT_NAMES[t]} marginals disagree with the stated distributions "
+                f"by {gaps[t]:.3g}"
+            )
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -136,9 +141,10 @@ def spin_system(
 ) -> PairwiseSystem:
     """Pairwise system of three angle-labelled observables with the
     cos^2-half-angle transitions; marginals default to uniform."""
-    ma = marginal_a or uniform_distribution()
-    mb = marginal_b or uniform_distribution()
-    mc = marginal_c or uniform_distribution()
+    uniform = uniform_distribution()
+    ma = marginal_a or uniform
+    mb = marginal_b or uniform
+    mc = marginal_c or uniform
     return PairwiseSystem(
         marginal_a=ma,
         marginal_b=mb,
@@ -182,19 +188,16 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | No
     T[m, n] = b.sum()
     basis = list(range(n, n + m))  # artificial i sits in row i
     while True:
-        enter = -1
-        for j in range(n):
-            if T[m, j] > tol:
-                enter = j
-                break
+        # pivot selection on Python floats: the same comparisons as on the
+        # array's float64 values, without a numpy scalar per element
+        enter = next((j for j, cost in enumerate(T[m, :n].tolist()) if cost > tol), -1)
         if enter < 0:
             break
-        ratio = np.inf
+        ratio = math.inf
         leave = -1
-        col = T[:m, enter]
-        for i in range(m):
-            if col[i] > tol:
-                r = T[i, n] / col[i]
+        for i, (a, rhs) in enumerate(zip(T[:m, enter].tolist(), T[:m, n].tolist())):
+            if a > tol:
+                r = rhs / a
                 if leave < 0 or r < ratio - tol:
                     ratio = r
                     leave = i
@@ -203,7 +206,7 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | No
         if leave < 0:
             break  # objective bounded below by 0, so this is numerically stalled
         pivot_row = T[leave] / T[leave, enter]
-        T -= np.outer(T[:, enter], pivot_row)
+        T -= T[:, enter, None] * pivot_row
         T[leave] = pivot_row
         basis[leave] = enter
     if T[m, n] > tol:
@@ -245,30 +248,29 @@ _XYZ = _X * _Y * _Z
 _MOMENT_SIGNS = np.stack([_X, _Y, _Z, _X * _Y, _Y * _Z, _Z * _X])
 
 
-def _triple_moment_interval(ma, mb, mc, cab, cbc, cca):
-    """Sign atoms of three +-1 observables with means ``ma, mb, mc`` and
-    pairwise product moments ``cab, cbc, cca``.
+def _triple_moment_interval(moments):
+    """Sign atoms of three +-1 observables whose moments ``(E a, E b, E c,
+    E ab, E bc, E ca)`` lie along the last axis of ``moments``.
 
     Every joint has ``8 p(x, y, z) = base(x, y, z) + t x y z`` with the
     triple moment ``t = E[abc]`` as its one free parameter, so a joint
     exists iff some ``t`` in ``[lo, hi]`` keeps all 8 atoms nonnegative,
-    i.e. iff ``lo <= hi`` (Suppes & Zanotti 1981; Fine 1982).  Broadcasts
-    over leading axes; ``base`` gains a trailing axis of 8 atoms.
+    i.e. iff ``lo <= hi`` (Suppes & Zanotti 1981; Fine 1982).  Leading axes
+    are kept; ``base`` gains a trailing axis of 8 atoms.
     """
-    moments = np.stack(np.broadcast_arrays(ma, mb, mc, cab, cbc, cca), axis=-1)
     base = 1.0 + moments @ _MOMENT_SIGNS
-    lo = np.max(-base[..., _XYZ > 0], axis=-1)
-    hi = np.min(base[..., _XYZ < 0], axis=-1)
+    lo = (-base[..., _XYZ > 0]).max(axis=-1)
+    hi = base[..., _XYZ < 0].min(axis=-1)
     return base, lo, hi
 
 
-def _sign_atom_witness(system: PairwiseSystem) -> np.ndarray | None:
-    """Closed-form k = 2 decision: the atoms at the midpoint of the
-    admissible triple-moment interval, or None when it is empty."""
-    tables = (system.joint_ab.entries, system.joint_bc.entries, system.joint_ca.entries)
-    means = [table.sum(axis=1) @ _SIGNS for table in tables]  # a, b, c: chooser-first rows
-    covs = [_SIGNS @ table @ _SIGNS for table in tables]
-    base, lo, hi = _triple_moment_interval(*means, *covs)
+def _sign_atom_witness(tables: np.ndarray) -> np.ndarray | None:
+    """Closed-form k = 2 decision from the stacked joints ab, bc, ca: the
+    atoms at the midpoint of the admissible triple-moment interval, or None
+    when it is empty."""
+    means = tables.sum(axis=2) @ _SIGNS  # a, b, c: chooser-first rows
+    covs = _SIGNS @ tables @ _SIGNS
+    base, lo, hi = _triple_moment_interval(np.concatenate((means, covs)))
     if lo > hi + FEASIBILITY_TOL:
         return None
     return (base + 0.5 * (lo + hi) * _XYZ) / 8.0
@@ -282,19 +284,14 @@ def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
     the number of observables, fine for three)."""
     k = len(system.alphabet)
     A = _pairwise_constraints(k)
-    b = np.concatenate(
-        [
-            system.joint_ab.entries.ravel(),
-            system.joint_bc.entries.ravel(),
-            system.joint_ca.entries.ravel(),  # chooser-first: rows indexed by c
-            [1.0],
-        ]
-    )
+    # chooser-first: the rows of joint_ca are indexed by c
+    tables = np.array((system.joint_ab.entries, system.joint_bc.entries, system.joint_ca.entries))
+    b = np.append(tables, 1.0)
     if k == 2:
-        x = _sign_atom_witness(system)
+        x = _sign_atom_witness(tables)
         # held to the simplex's tolerance, so both paths accept the same witnesses
         if x is not None and (
-            np.max(np.abs(A @ x - b)) > FEASIBILITY_TOL or np.min(x) < -FEASIBILITY_TOL
+            np.abs(A @ x - b).max() > FEASIBILITY_TOL or x.min() < -FEASIBILITY_TOL
         ):
             x = None
     else:
@@ -362,7 +359,8 @@ def bell_scan(step: float) -> Iterator[dict]:
         violated = lhs > rhs + BELL_TOL
         # uniform marginals: the row sums of both rows of each joint are
         # the same two numbers, so the means are exactly 0
-        _, lo, hi = _triple_moment_interval(0.0, 0.0, 0.0, cov_ab, cov, cov_ca)
+        moments = np.stack(np.broadcast_arrays(0.0, 0.0, 0.0, cov_ab, cov, cov_ca), axis=-1)
+        _, lo, hi = _triple_moment_interval(moments)
         feasible = lo <= hi + FEASIBILITY_TOL
         lhs_rows, rhs_row = lhs.tolist(), rhs.tolist()
         violated_rows, feasible_rows = violated.tolist(), feasible.tolist()

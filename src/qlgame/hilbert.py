@@ -72,6 +72,8 @@ class OrthonormalBasis:
         vectors = np.array(self.vectors, dtype=complex)
         if vectors.ndim != 2 or vectors.shape[0] != vectors.shape[1]:
             raise HilbertError(f"expected n vectors of dimension n, got {vectors.shape}")
+        if vectors.size == 0:
+            raise HilbertError(f"a basis needs at least one vector, got shape {vectors.shape}")
         # an entry of modulus past 1 + NORM_TOL (or nan) fails the Gram check
         # anyway; refusing it first keeps the Gram product from overflowing
         if not np.abs(vectors).max() <= 1.0 + NORM_TOL:
@@ -98,6 +100,8 @@ class OrthonormalBasis:
 @lru_cache(maxsize=8)
 def delta_basis(n: int) -> OrthonormalBasis:
     """The standard basis of size n; one shared, read-only instance per size."""
+    if n < 1:
+        raise HilbertError(f"basis size must be at least 1, got {n}")
     return OrthonormalBasis(np.eye(n, dtype=complex))
 
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 
 import qlgame as ql
+from qlgame.classicality import FEASIBILITY_TOL, _pairwise_constraints
 from qlgame.hilbert import NORM_TOL, HilbertError
 from qlgame.probability import PROB_TOL, _frozen, _labels
 
@@ -245,3 +246,119 @@ def reference_born_probability(state, basis_vector, length=np.linalg.norm):
     if state.shape != basis_vector.shape:
         raise HilbertError(f"dimension mismatch: {state.size} vs {basis_vector.size}")
     return abs(complex(np.sum(state * np.conj(basis_vector)))) ** 2
+
+
+def reference_pairwise_marginals(marginal_a, marginal_b, marginal_c, joint_ab, joint_bc, joint_ca):
+    """The pairwise-system marginal check one joint at a time: refuse the
+    first joint (ab, bc, ca order) whose row or column sums are more than
+    PROB_TOL from its stated marginals."""
+    checks = (
+        ("joint_ab", joint_ab, marginal_a, marginal_b),
+        ("joint_bc", joint_bc, marginal_b, marginal_c),
+        ("joint_ca", joint_ca, marginal_c, marginal_a),
+    )
+    for name, joint, first, second in checks:
+        entries = joint.entries
+        d1 = float(np.max(np.abs(entries.sum(axis=1) - first.probs)))
+        d2 = float(np.max(np.abs(entries.sum(axis=0) - second.probs)))
+        if max(d1, d2) > PROB_TOL:
+            raise ql.ValidationError(
+                f"{name} marginals disagree with the stated distributions "
+                f"by {max(d1, d2):.3g}"
+            )
+
+
+def reference_phase1_simplex(A, b, tol):
+    """Phase-1 simplex with Bland's rule, pivoting on numpy scalars one
+    element at a time (artificials never re-enter)."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + 1))
+    T[:m, :n] = A
+    T[:m, n] = b
+    T[m, :n] = A.sum(axis=0)
+    T[m, n] = b.sum()
+    basis = list(range(n, n + m))
+    while True:
+        enter = -1
+        for j in range(n):
+            if T[m, j] > tol:
+                enter = j
+                break
+        if enter < 0:
+            break
+        ratio = np.inf
+        leave = -1
+        col = T[:m, enter]
+        for i in range(m):
+            if col[i] > tol:
+                r = T[i, n] / col[i]
+                if leave < 0 or r < ratio - tol:
+                    ratio = r
+                    leave = i
+                elif r <= ratio + tol and basis[i] < basis[leave]:
+                    leave = i
+        if leave < 0:
+            break
+        pivot_row = T[leave] / T[leave, enter]
+        T -= np.outer(T[:, enter], pivot_row)
+        T[leave] = pivot_row
+        basis[leave] = enter
+    if T[m, n] > tol:
+        return None
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = T[i, n]
+    return x
+
+
+_SIGNS = np.array([1.0, -1.0])
+_X, _Y, _Z = _SIGNS[(np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1].T
+_XYZ = _X * _Y * _Z
+_MOMENT_SIGNS = np.stack([_X, _Y, _Z, _X * _Y, _Y * _Z, _Z * _X])
+
+
+def reference_triple_moment_interval(ma, mb, mc, cab, cbc, cca):
+    """Sign atoms ``base`` and the triple-moment interval [lo, hi] of six
+    moments passed one by one (scalars or arrays that broadcast)."""
+    moments = np.stack(np.broadcast_arrays(ma, mb, mc, cab, cbc, cca), axis=-1)
+    base = 1.0 + moments @ _MOMENT_SIGNS
+    lo = np.max(-base[..., _XYZ > 0], axis=-1)
+    hi = np.min(base[..., _XYZ < 0], axis=-1)
+    return base, lo, hi
+
+
+def reference_sign_atom_witness(system):
+    """Closed-form k = 2 witness from per-table means and covariances."""
+    tables = (system.joint_ab.entries, system.joint_bc.entries, system.joint_ca.entries)
+    means = [table.sum(axis=1) @ _SIGNS for table in tables]
+    covs = [_SIGNS @ table @ _SIGNS for table in tables]
+    base, lo, hi = reference_triple_moment_interval(*means, *covs)
+    if lo > hi + FEASIBILITY_TOL:
+        return None
+    return (base + 0.5 * (lo + hi) * _XYZ) / 8.0
+
+
+def reference_joint_feasibility(system):
+    """The witness over the k^3 atoms (shape (k, k, k)) or None, from the
+    reference kernels: the closed form held to FEASIBILITY_TOL at k = 2,
+    the reference simplex above."""
+    k = len(system.alphabet)
+    A = _pairwise_constraints(k)
+    b = np.concatenate(
+        [
+            system.joint_ab.entries.ravel(),
+            system.joint_bc.entries.ravel(),
+            system.joint_ca.entries.ravel(),
+            [1.0],
+        ]
+    )
+    if k == 2:
+        x = reference_sign_atom_witness(system)
+        if x is not None and (
+            np.max(np.abs(A @ x - b)) > FEASIBILITY_TOL or np.min(x) < -FEASIBILITY_TOL
+        ):
+            x = None
+    else:
+        x = reference_phase1_simplex(A, b, FEASIBILITY_TOL)
+    return None if x is None else x.reshape((k, k, k))

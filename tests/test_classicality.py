@@ -1,12 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qlgame as ql
 import helpers
 from helpers import feasibility_interval_oracle
 from qlgame import classicality
+from qlgame.probability import PROB_TOL
 
 VIOLATING_THETAS = (0.0, 2.0 * math.pi / 3.0, math.pi / 3.0)
 
@@ -307,14 +310,7 @@ def test_simplex_matches_linprog_k3(rng):
         atoms = rng.dirichlet(np.ones(27)).reshape(3, 3, 3)
         joints = [atoms.sum(axis=2), atoms.sum(axis=0), atoms.sum(axis=1).T]
         if n % 2:
-            # marginal-preserving twists on a random 2x2 block of each table
-            for j in joints:
-                (r0, r1), (c0, c1) = rng.choice(3, 2, replace=False), rng.choice(3, 2, replace=False)
-                shift = min(j[r0, c1], j[r1, c0], rng.uniform(0.0, 0.3))
-                j[r0, c0] += shift
-                j[r1, c1] += shift
-                j[r0, c1] -= shift
-                j[r1, c0] -= shift
+            joints = [_twist(j, rng, 0.3) for j in joints]
         system = _system_from_joints(*joints, alphabet)
         result = ql.joint_feasibility(system)
         reference = optimize.linprog(
@@ -404,3 +400,158 @@ def test_bell_scan_grid_count_limit():
     assert next(ql.bell_scan(finest))["theta3"] == 0.0
     with pytest.raises(ql.ValidationError, match="angles per axis"):
         next(ql.bell_scan(2.0 * math.pi / (classicality.MAX_GRID_COUNT + 1)))
+
+
+def _pairwise_parts(marginal_a=None, marginal_b=None, marginal_c=None, ab=None, bc=None, ca=None):
+    """Uniform 2-outcome marginals and quarter joints, with any part replaced."""
+    unif = ql.uniform_distribution()
+    quarter = np.full((2, 2), 0.25)
+    return (
+        marginal_a or unif,
+        marginal_b or unif,
+        marginal_c or unif,
+        ql.JointTable(("a", "b"), quarter if ab is None else ab),
+        ql.JointTable(("b", "c"), quarter if bc is None else bc),
+        ql.JointTable(("c", "a"), quarter if ca is None else ca),
+    )
+
+
+ROWS_OFF = [[0.35, 0.25], [0.15, 0.25]]  # row sums (0.6, 0.4), column sums (0.5, 0.5)
+COLUMNS_OFF = [[0.25, 0.35], [0.25, 0.15]]  # row sums (0.5, 0.5), column sums (0.6, 0.4)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (_pairwise_parts(ab=ROWS_OFF), "joint_ab marginals disagree with the stated distributions by 0.1"),
+        (_pairwise_parts(bc=COLUMNS_OFF), "joint_bc marginals disagree with the stated distributions by 0.1"),
+        (_pairwise_parts(ca=ROWS_OFF), "joint_ca marginals disagree with the stated distributions by 0.1"),
+        # two joints fail at once: the first in (ab, bc, ca) order is named
+        (_pairwise_parts(bc=ROWS_OFF, ca=[[0.45, 0.05], [0.05, 0.45]]),
+         "joint_bc marginals disagree with the stated distributions by 0.1"),
+        (_pairwise_parts(marginal_c=ql.Distribution([0.8, 0.2])),
+         "joint_bc marginals disagree with the stated distributions by 0.3"),
+        (_pairwise_parts(marginal_a=ql.Distribution([0.5 + 1.5 * PROB_TOL, 0.5 - 1.5 * PROB_TOL])),
+         "joint_ab marginals disagree with the stated distributions by 1.5e-12"),
+    ],
+    ids=["ab", "bc", "ca", "bc-and-ca", "marginal-c", "past-prob-tol"],
+)
+def test_pairwise_system_refusal_messages(parts, message):
+    with pytest.raises(ql.ValidationError) as info:
+        ql.PairwiseSystem(*parts)
+    assert str(info.value) == message
+
+
+def test_pairwise_system_accepts_gap_within_prob_tol():
+    gap = 0.5 * PROB_TOL
+    system = ql.PairwiseSystem(*_pairwise_parts(marginal_a=ql.Distribution([0.5 + gap, 0.5 - gap])))
+    assert ql.joint_feasibility(system).feasible
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        _pairwise_parts()[:3] + tuple(
+            ql.JointTable(order, np.full((2, 2), 0.25), ("X", "Y"))
+            for order in (("a", "b"), ("b", "c"), ("c", "a"))
+        ),
+        _pairwise_parts(marginal_c=ql.uniform_distribution(("F", "I", "S"))),
+    ],
+    ids=["relabelled-joints", "three-outcome-marginal"],
+)
+def test_pairwise_system_refuses_mixed_alphabets(parts):
+    with pytest.raises(ql.ValidationError, match="^all components must share one outcome alphabet$"):
+        ql.PairwiseSystem(*parts)
+
+
+# Angles on the pi/12 grid put many triples on the boundary of the
+# triple-moment interval; arbitrary angles cover the interior.
+ANGLES = st.one_of(st.integers(0, 23).map(lambda n: n * math.pi / 12.0), st.floats(0.0, 2.0 * math.pi))
+GAP_FACTORS = [0.5, 0.999, 1.001, 1.5, 2.0, 1e6]
+
+
+def _twist(joint: np.ndarray, rng, max_shift: float) -> np.ndarray:
+    """Move mass onto the diagonal of a random 2x2 block of ``joint``,
+    which keeps its row and column sums."""
+    k = joint.shape[0]
+    (r0, r1), (c0, c1) = rng.choice(k, 2, replace=False), rng.choice(k, 2, replace=False)
+    shift = min(joint[r0, c1], joint[r1, c0], rng.uniform(0.0, max_shift))
+    joint[r0, c0] += shift
+    joint[r1, c1] += shift
+    joint[r0, c1] -= shift
+    joint[r1, c0] -= shift
+    return joint
+
+
+@st.composite
+def pairwise_parts(draw):
+    """The six parts of a pairwise system: a spin triple, or the pairwise
+    tables of Dirichlet atoms over k = 2, 3 or 4 outcomes, some atoms
+    zeroed (rank-deficient, degenerate constraints), some tables twisted
+    towards infeasibility, and maybe mass of PROB_TOL scale moved within
+    one or two marginals."""
+    if draw(st.integers(0, 4)) == 0:
+        system = ql.spin_system(draw(ANGLES), draw(ANGLES), draw(ANGLES))
+        return tuple(getattr(system, name) for name in (
+            "marginal_a", "marginal_b", "marginal_c", "joint_ab", "joint_bc", "joint_ca"))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([2, 2, 3, 3, 4]))
+    alphabet = ("F", "I", "S", "T")[:k]
+    atoms = rng.dirichlet(np.ones(k**3))
+    if draw(st.booleans()):
+        atoms[rng.random(k**3) < draw(st.floats(0.1, 0.9))] = 0.0
+        atoms[rng.integers(k**3)] += 1.0 - atoms.sum()  # back to a total of 1
+    atoms = atoms.reshape(k, k, k)
+    joints = [atoms.sum(axis=2), atoms.sum(axis=0), atoms.sum(axis=1).T]
+    if draw(st.booleans()):
+        max_shift = draw(st.sampled_from([0.05, 0.2, 0.5]))
+        for _ in range(k - 1):
+            joints = [_twist(joint, rng, max_shift) for joint in joints]
+    marginals = [joint.sum(axis=1) for joint in joints]
+    for t in draw(st.lists(st.integers(0, 2), max_size=2)):
+        gap = draw(st.sampled_from(GAP_FACTORS)) * PROB_TOL
+        source = int(np.argmax(marginals[t]))
+        marginals[t][source] -= gap
+        marginals[t][(source + 1) % k] += gap
+    return (
+        *(ql.Distribution(m, alphabet) for m in marginals),
+        *(ql.JointTable(order, j, alphabet) for order, j in zip(
+            (("a", "b"), ("b", "c"), ("c", "a")), joints)),
+    )
+
+
+def _bits(value):
+    return value.tobytes() if isinstance(value, np.ndarray) else value
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairwise_parts())
+def test_classicality_matches_reference(parts):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            helpers.reference_pairwise_marginals(*parts)
+            refusal = None
+        except ql.ValidationError as exc:
+            refusal = str(exc)
+        try:
+            system = ql.PairwiseSystem(*parts)
+        except ql.ValidationError as exc:
+            assert str(exc) == refusal
+            return
+        assert refusal is None
+        want = helpers.reference_joint_feasibility(system)
+        result = ql.joint_feasibility(system)
+        # bell_check covers two-outcome systems only
+        report = ql.bell_check(system) if len(system.alphabet) == 2 else None
+    assert result.feasible == (want is not None)
+    assert _bits(result.witness) == _bits(want)
+    assert result.witness is None or result.witness.shape == want.shape
+    if report is not None:
+        cov_ab, cov_bc, cov_ca = (float(helpers._SIGNS @ j.entries @ helpers._SIGNS) for j in parts[3:])
+        lhs, rhs = abs(cov_ab - cov_bc), 1.0 - cov_ca
+        assert (report.cov_ab, report.cov_bc, report.cov_ca, report.lhs, report.rhs) == (
+            cov_ab, cov_bc, cov_ca, lhs, rhs)
+        assert report.violated == (lhs > rhs + classicality.BELL_TOL)
+        assert report.lp_feasible == result.feasible
+        assert _bits(report.witness) == _bits(want)

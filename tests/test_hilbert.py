@@ -162,6 +162,21 @@ def test_overflowing_input_is_refused_without_warning(call, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ql.OrthonormalBasis(np.zeros((0, 0))),
+         r"a basis needs at least one vector, got shape \(0, 0\)"),
+        (lambda: ql.delta_basis(0), "basis size must be at least 1, got 0"),
+        (lambda: ql.delta_basis(-1), "basis size must be at least 1, got -1"),
+    ],
+    ids=["empty-basis", "delta-0", "delta-negative"],
+)
+def test_empty_bases_are_refused(call, message):
+    with pytest.raises(HilbertError, match=f"^{message}$"):
+        call()
+
+
 def test_delta_basis_is_shared_and_read_only():
     basis = ql.delta_basis(3)
     assert ql.delta_basis(3) is basis
