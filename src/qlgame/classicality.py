@@ -60,7 +60,7 @@ class BayesConsistencyReport:
 def bayes_consistency(data: ContextData) -> BayesConsistencyReport:
     rev = check_reversibility(data)
     uniform = all(
-        np.max(np.abs(m.probs - 1.0 / m.probs.size)) <= UNIFORM_TOL
+        abs(m.probs - 1.0 / m.probs.size).max() <= UNIFORM_TOL
         for m in (data.marginal_a, data.marginal_b)
     )
     theorem = (rev.consistent == uniform) if data.r1_symmetric else None

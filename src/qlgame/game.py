@@ -51,7 +51,7 @@ class PayoffMatrix:
         entries = _frozen(self.entries)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError(f"payoff matrix must be square, got {entries.shape}")
-        if not np.all(np.isfinite(entries)):
+        if not np.isfinite(entries).all():
             raise ValidationError("payoff entries must be finite")
         object.__setattr__(self, "entries", entries)
 
@@ -144,7 +144,7 @@ def part_average(joint: JointTable, payoff: PayoffMatrix) -> float:
             f"payoff shape {payoff.entries.shape} does not match joint "
             f"{joint.entries.shape}"
         )
-    return float(np.sum(payoff.entries * joint.entries))
+    return float((payoff.entries * joint.entries).sum())
 
 
 PairContexts = Mapping[tuple[str, str], ContextData]
@@ -227,7 +227,7 @@ def ql_average(rep: QLRepresentation, spec: GameSpec) -> GameAverages:
             weights = born_b[:, None] * trans.T
         parts.append(
             {
-                player: float(np.sum(payoff.entries * weights))
+                player: float((payoff.entries * weights).sum())
                 for player, payoff in part.payoffs.items()
             }
         )
@@ -240,9 +240,8 @@ def zero_sum_symmetric_average(rep: QLRepresentation, tester_payoff_part1: Payof
     difference of the two squared state projections times its payoff row.
     """
     born_a, born_b, trans = _born_profile(rep)
-    h = tester_payoff_part1.entries
-    row_payoff = np.sum(h * trans, axis=1)
-    return float(np.sum((born_a - born_b) * row_payoff))
+    row_payoff = (tester_payoff_part1.entries * trans).sum(axis=1)
+    return float(((born_a - born_b) * row_payoff).sum())
 
 
 def interference_average(rep: QLRepresentation, tester_payoff_part1: PayoffMatrix) -> float:
@@ -256,9 +255,8 @@ def interference_average(rep: QLRepresentation, tester_payoff_part1: PayoffMatri
     z0, z1 = z[:, 0], z[:, 1]
     cross = 2.0 * np.abs(z0) * np.abs(z1) * np.cos(np.angle(z0) - np.angle(z1))
     born_b_expanded = np.abs(z0) ** 2 + np.abs(z1) ** 2 + cross
-    h = tester_payoff_part1.entries
-    row_payoff = np.sum(h * trans, axis=1)
-    return float(np.sum((born_a - born_b_expanded) * row_payoff))
+    row_payoff = (tester_payoff_part1.entries * trans).sum(axis=1)
+    return float(((born_a - born_b_expanded) * row_payoff).sum())
 
 
 @dataclass(frozen=True)

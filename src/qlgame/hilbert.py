@@ -9,6 +9,7 @@ vectors; each observable is an orthonormal basis of its outcomes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -97,11 +98,18 @@ class OrthonormalBasis:
         return self.vectors.shape[0]
 
 
-@lru_cache(maxsize=8)
 def delta_basis(n: int) -> OrthonormalBasis:
     """The standard basis of size n; one shared, read-only instance per size."""
+    # checked before the cache, where 2.0 and True would hit the entries of 2 and 1
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise HilbertError(f"basis size must be an integer, got {n!r}")
     if n < 1:
         raise HilbertError(f"basis size must be at least 1, got {n}")
+    return _delta_basis(int(n))
+
+
+@lru_cache(maxsize=8)
+def _delta_basis(n: int) -> OrthonormalBasis:
     return OrthonormalBasis(np.eye(n, dtype=complex))
 
 

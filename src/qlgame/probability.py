@@ -89,6 +89,23 @@ def _table_fault(arr: np.ndarray, noun: str, sum_axis: int | None) -> str:
     return f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
 
 
+def _derived(cls, **fields):
+    """A ``cls`` table holding ``fields`` as given, with no second check.
+
+    For tables the library computes from tables it has already checked,
+    such as products of a checked marginal and checked rows: their entries
+    carry the error of their inputs (a product of two tables, each within
+    PROB_TOL, may sum to within 2 PROB_TOL of 1), so checking them again
+    would refuse data that was accepted.  Array fields are made read-only.
+    """
+    table = object.__new__(cls)
+    vars(table).update(fields)
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class Distribution:
     """Probability vector over a finite ordered outcome alphabet."""
@@ -103,10 +120,6 @@ class Distribution:
 
     def prob(self, label: str) -> float:
         return float(self.probs[self.alphabet.index(label)])
-
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(np.all(self.probs > 0.0))
 
 
 def uniform_distribution(alphabet: tuple[str, ...] = ALPHABET) -> Distribution:
@@ -135,10 +148,6 @@ class TransitionMatrix:
     def doubly_stochastic(self) -> bool:
         return bool(np.max(np.abs(self.rows.sum(axis=0) - 1.0)) <= PROB_TOL)
 
-    @property
-    def strictly_positive(self) -> bool:
-        return bool(np.all(self.rows > 0.0))
-
 
 @dataclass(frozen=True)
 class ContextData:
@@ -166,15 +175,12 @@ class ContextData:
         }
         if len(alphabets) != 1:
             raise ValidationError("all components must share one outcome alphabet")
-        r1 = bool(
-            np.max(np.abs(self.trans_b_given_a.rows - self.trans_a_given_b.rows.T))
-            <= PROB_TOL
-        )
-        r2 = (
-            self.marginal_a.strictly_positive
-            and self.marginal_b.strictly_positive
-            and self.trans_b_given_a.strictly_positive
-            and self.trans_a_given_b.strictly_positive
+        forward = self.trans_b_given_a.rows
+        backward = self.trans_a_given_b.rows
+        r1 = bool(abs(forward - backward.T).max() <= PROB_TOL)
+        r2 = bool(
+            min(self.marginal_a.probs.min(), self.marginal_b.probs.min(),
+                forward.min(), backward.min()) > 0.0
         )
         object.__setattr__(self, "r1_symmetric", r1)
         object.__setattr__(self, "r2_positive", r2)
@@ -256,13 +262,18 @@ def joint_distribution(
 ) -> JointTable:
     """Joint table ``p(first=i, second=j) = first_marginal[i] * trans[i, j]``.
 
-    The result sums to 1 and reproduces ``first_marginal`` as its first
-    marginal by construction (rows of ``trans`` each sum to 1).
+    Built from its two checked inputs without a second check.  Its first
+    marginal is ``first_marginal`` times the row sums of ``trans``, so its
+    total is 1 only up to the error of both inputs: within about 2 PROB_TOL.
     """
     if first_marginal.alphabet != trans.alphabet:
         raise ValidationError("marginal and transition matrix use different alphabets")
-    entries = first_marginal.probs[:, None] * trans.rows
-    return JointTable(order=order, entries=entries, alphabet=first_marginal.alphabet)
+    return _derived(
+        JointTable,
+        order=tuple(order),
+        entries=first_marginal.probs[:, None] * trans.rows,
+        alphabet=first_marginal.alphabet,
+    )
 
 
 @dataclass(frozen=True)
@@ -284,7 +295,7 @@ def check_reversibility(data: ContextData) -> ReversibilityReport:
     """
     joint_ab = joint_distribution(data.marginal_a, data.trans_b_given_a, ("a", "b"))
     joint_ba = joint_distribution(data.marginal_b, data.trans_a_given_b, ("b", "a"))
-    disc = float(np.max(np.abs(joint_ab.entries - joint_ba.entries.T)))
+    disc = float(abs(joint_ab.entries - joint_ba.entries.T).max())
     return ReversibilityReport(
         consistent=disc <= PROB_TOL,
         max_discrepancy=disc,

@@ -26,7 +26,9 @@ from .probability import (
     Distribution,
     TransitionMatrix,
     ValidationError,
+    _derived,
     _frozen,
+    _labels,
 )
 
 TRIGONOMETRIC = "trigonometric"
@@ -110,7 +112,7 @@ def interference_coefficients(data: ContextData) -> np.ndarray:
     pb = data.marginal_b.probs
     t = data.trans_b_given_a.rows
     predicted = pa @ t
-    denominator = 2.0 * np.sqrt(np.prod(pa[:, None] * t, axis=0))
+    denominator = 2.0 * np.sqrt((pa[:, None] * t).prod(axis=0))
     return (pb - predicted) / denominator
 
 
@@ -140,9 +142,9 @@ def classify_context(lambdas) -> str:
     """
     lambdas = np.asarray(lambdas, dtype=float)
     _require_two_outcomes(lambdas.size, "the classification")
-    if not np.all(np.isfinite(lambdas)):
+    if not np.isfinite(lambdas).all():
         raise ValidationError("interference coefficients must be finite")
-    return TRIGONOMETRIC if float(np.max(np.abs(lambdas))) <= 1.0 + PROB_TOL else HYPERBOLIC
+    return TRIGONOMETRIC if float(abs(lambdas).max()) <= 1.0 + PROB_TOL else HYPERBOLIC
 
 
 def _select_phases(lambdas: np.ndarray) -> np.ndarray:
@@ -220,13 +222,27 @@ def born_tables(psi, a_basis: OrthonormalBasis, b_basis: OrthonormalBasis):
 
 def born_context(tables, alphabet) -> ContextData:
     """The context whose probabilities are the renormalised Born ``tables``
-    (as returned by :func:`born_tables`)."""
+    (as returned by :func:`born_tables`).
+
+    The tables come from a norm-checked state in checked bases, so after
+    renormalising every entry is a nonnegative |.|^2 and every sum is 1 up
+    to rounding: they are built without a second check.
+    """
+    alphabet = _labels(alphabet)
     born_a, born_b, trans = tables
+    if born_a.shape != (len(alphabet),):
+        raise ValidationError(
+            f"expected {len(alphabet)} probabilities, got shape {born_a.shape}"
+        )
     return ContextData(
-        marginal_a=Distribution(born_a / born_a.sum(), alphabet),
-        marginal_b=Distribution(born_b / born_b.sum(), alphabet),
-        trans_b_given_a=TransitionMatrix(trans / trans.sum(axis=1, keepdims=True), alphabet),
-        trans_a_given_b=TransitionMatrix(trans.T / trans.T.sum(axis=1, keepdims=True), alphabet),
+        marginal_a=_derived(Distribution, probs=born_a / born_a.sum(), alphabet=alphabet),
+        marginal_b=_derived(Distribution, probs=born_b / born_b.sum(), alphabet=alphabet),
+        trans_b_given_a=_derived(
+            TransitionMatrix, rows=trans / trans.sum(axis=1, keepdims=True), alphabet=alphabet
+        ),
+        trans_a_given_b=_derived(
+            TransitionMatrix, rows=trans.T / trans.T.sum(axis=1, keepdims=True), alphabet=alphabet
+        ),
     )
 
 

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
 from qlgame.cli import main
+from qlgame.probability import PROB_TOL
 
 VIOLATING = "0,2.0943951023931953,1.0471975511965976"
 
@@ -573,3 +574,101 @@ def test_cli_exit_contract_over_generated_contexts(case):
                 assert code == 1, (argv[0], doc)
             elif argv[0] == "validate":
                 assert code == 0, err
+
+
+# Each table within PROB_TOL, but the joint p_a(i) p(b=j|a=i) sums to 1 + 1.6e-12.
+TOLERANCE_EDGE = {
+    "marginal_a": [0.5 + 4e-13, 0.5 + 4e-13],
+    "marginal_b": [0.5, 0.5],
+    "trans_b_given_a": [[0.7 + 4e-13, 0.3 + 4e-13], [0.3 + 4e-13, 0.7 + 4e-13]],
+    "trans_a_given_b": [[0.7, 0.3], [0.3, 0.7]],
+}
+
+
+def test_tolerance_edge_context_passes_every_subcommand(capsys, tmp_path, game_file):
+    ctx = tmp_path / "edge.json"
+    ctx.write_text(json.dumps(TOLERANCE_EDGE))
+    for argv in (
+        ["validate", "--input", ctx],
+        ["qlra", "--input", ctx],
+        ["average", "--game", game_file, "--context", ctx, "--ql"],
+        ["simulate", "--game", game_file, "--context", ctx, "--trials", "1000", "--seed", "3"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv[0]
+        json.loads(out)
+
+
+QLRA_REASONS = ("(R1)", "(R2)", "hyperbolic context")
+
+
+@st.composite
+def edge_context_documents(draw):
+    """A two-outcome R1 context at the tolerance edges: |lambda| within
+    1e-14 to 1e-6 of 1 from either side, each table's sums moved by 0.5 to
+    1 PROB_TOL either way, and possibly a row or marginal [1 + PROB_TOL,
+    -PROB_TOL].  Returns the document and whether each table passes the
+    reference table check."""
+    p = draw(st.floats(0.05, 0.95))
+    q = draw(st.floats(0.05, 0.95))
+    gap = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-14.0, -6.0))
+    lam = draw(st.sampled_from([-1.0, 1.0])) * (1.0 - gap)
+    r = float(helpers.b_marginal_for_lambda(p, q, lam))
+    assume(0.01 < r < 0.99)
+    trans = [[q, 1.0 - q], [1.0 - q, q]]
+    doc = {"marginal_a": [p, 1.0 - p], "marginal_b": [r, 1.0 - r],
+           "trans_b_given_a": trans, "trans_a_given_b": trans}
+    shifts = [
+        draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.5, 1.0)) * PROB_TOL
+        for _ in CONTEXT_KEYS
+    ]
+    if draw(st.booleans()):
+        shifts[3] = shifts[2]  # the transition matrices stay each other's transpose
+    for key, shift in zip(CONTEXT_KEYS, shifts):
+        doc[key] = (np.array(doc[key]) + shift / 2.0).tolist()
+    if draw(st.booleans()):
+        corner = draw(st.sampled_from(CONTEXT_KEYS))
+        row = draw(st.sampled_from([[1.0 + PROB_TOL, -PROB_TOL], [-PROB_TOL, 1.0 + PROB_TOL]]))
+        if corner.startswith("marginal"):
+            doc[corner] = row
+        else:
+            doc[corner] = [row, doc[corner][1]]
+    valid = True
+    for key in CONTEXT_KEYS:
+        ndim = 1 if key.startswith("marginal") else 2
+        try:
+            helpers.reference_probability_table(doc[key], ql.ALPHABET, ndim, key, ndim - 1 or None)
+        except ql.ValidationError:
+            valid = False
+    return doc, valid
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_context_documents())
+def test_valid_edge_contexts_pass_every_subcommand(case):
+    """Valid tables pass validate; whatever validate accepts, average and
+    simulate accept too; qlra refuses only for R1, R2 or |lambda| > 1."""
+    doc, valid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        ctx = tmp / "ctx.json"
+        ctx.write_text(json.dumps(doc))
+        game = tmp / "game.json"
+        game.write_text(json.dumps(ql.game_to_json(helpers.zero_sum_spec())))
+        results = {}
+        for argv in (
+            ["validate", "--input", ctx],
+            ["average", "--game", game, "--context", ctx],
+            ["simulate", "--game", game, "--context", ctx, "--trials", "500", "--seed", "1"],
+            ["qlra", "--input", ctx],
+        ):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main([str(a) for a in argv])
+            results[argv[0]] = code, stderr.getvalue()
+    assert results["validate"][0] == (0 if valid else 1), results["validate"]
+    if valid:
+        assert results["average"] == (0, ""), results["average"]
+        assert results["simulate"] == (0, ""), results["simulate"]
+        code, err = results["qlra"]
+        assert code == 0 or any(reason in err for reason in QLRA_REASONS), err

@@ -169,8 +169,10 @@ def test_overflowing_input_is_refused_without_warning(call, message):
          r"a basis needs at least one vector, got shape \(0, 0\)"),
         (lambda: ql.delta_basis(0), "basis size must be at least 1, got 0"),
         (lambda: ql.delta_basis(-1), "basis size must be at least 1, got -1"),
+        (lambda: ql.delta_basis(2.0), "basis size must be an integer, got 2.0"),
+        (lambda: ql.delta_basis(True), "basis size must be an integer, got True"),
     ],
-    ids=["empty-basis", "delta-0", "delta-negative"],
+    ids=["empty-basis", "delta-0", "delta-negative", "delta-float", "delta-bool"],
 )
 def test_empty_bases_are_refused(call, message):
     with pytest.raises(HilbertError, match=f"^{message}$"):
@@ -180,6 +182,7 @@ def test_empty_bases_are_refused(call, message):
 def test_delta_basis_is_shared_and_read_only():
     basis = ql.delta_basis(3)
     assert ql.delta_basis(3) is basis
+    assert ql.delta_basis(np.int64(3)) is basis
     assert np.array_equal(basis.vectors, np.eye(3))
     with pytest.raises(ValueError):
         basis.vectors[0, 0] = 2.0

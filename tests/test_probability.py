@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
+from qlgame import probability
 from qlgame.probability import PROB_TOL, _probability_table
+from qlgame.representation import born_context, born_tables
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -101,11 +103,68 @@ def test_check_reversibility_deterministic_copy():
     assert ql.check_reversibility(data).consistent
 
 
+def _table_checks(monkeypatch, call):
+    """How many tables ``call()`` checks, and what it returns."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _probability_table(*args, **kwargs)
+
+    monkeypatch.setattr(probability, "_probability_table", counted)
+    result = call()
+    monkeypatch.undo()
+    return len(calls), result
+
+
+def test_each_table_is_checked_once(monkeypatch):
+    """Outside arrays are checked once; tables derived from checked ones are not re-checked."""
+    rng = np.random.default_rng(11)
+    checks, data = _table_checks(monkeypatch, lambda: ql.validate_context_data(helpers.D1_RAW))
+    assert checks == 4
+    rep = ql.build_representation(data)
+    psi = ql.random_unit_vector(4, rng)
+    a, b = (ql.random_orthonormal_basis(4, rng) for _ in range(2))
+    alphabet = ("w", "x", "y", "z")
+    derived = {
+        "reversibility": lambda: ql.check_reversibility(data),
+        "averages": lambda: ql.total_averages(helpers.zero_sum_spec(), data),
+        "reconstruction": lambda: ql.reconstruct_data(rep),
+        "born context": lambda: born_context(born_tables(psi, a, b), alphabet),
+    }
+    results = {}
+    for name, call in derived.items():
+        checks, results[name] = _table_checks(monkeypatch, call)
+        assert checks == 0, name
+    report = results["reversibility"]
+    tables = [report.joint_ab.entries, report.joint_ba.entries]
+    for ctx in (results["reconstruction"], results["born context"]):
+        tables += [ctx.marginal_a.probs, ctx.marginal_b.probs,
+                   ctx.trans_b_given_a.rows, ctx.trans_a_given_b.rows]
+    assert not any(t.flags.writeable for t in tables)
+    assert results["born context"].alphabet == alphabet
+    assert report.joint_ab.order == ("a", "b") and report.joint_ab.alphabet == data.alphabet
+
+
+@pytest.mark.parametrize(
+    "dimension, alphabet, message",
+    [
+        (1, ("o0",), "alphabet needs at least 2 outcomes"),
+        (3, ("F", "I"), r"expected 2 probabilities, got shape \(3,\)"),
+    ],
+)
+def test_born_context_keeps_its_refusals(dimension, alphabet, message):
+    basis = ql.delta_basis(dimension)
+    with pytest.raises(ql.ValidationError, match=f"^{message}$"):
+        born_context(born_tables(np.eye(dimension)[0], basis, basis), alphabet)
+
+
 @given(p=st.floats(0.0, 1.0), q=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0))
 def test_joint_sums_to_one_and_reproduces_first_marginal(p, q, r):
     marginal = ql.Distribution([p, 1.0 - p])
     trans = ql.TransitionMatrix([[q, 1.0 - q], [r, 1.0 - r]])
     joint = ql.joint_distribution(marginal, trans)
+    assert joint.entries.tobytes() == (marginal.probs[:, None] * trans.rows).tobytes()
     assert abs(joint.entries.sum() - 1.0) <= 1e-12
     assert np.max(np.abs(joint.entries.sum(axis=1) - marginal.probs)) <= 1e-12
 
