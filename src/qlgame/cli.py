@@ -3,8 +3,9 @@ averages, Bell scans, feasibility checks, simulations and frequency
 estimation, with JSON/CSV output.
 
 Exit status: 0 on success, 1 on a domain error (validation failure,
-hyperbolic context, ...), 2 on usage or I/O errors.  Output files are only
-written after the computation succeeds.
+hyperbolic context, ...), 2 on usage or I/O errors, including input files
+that are not UTF-8 or not JSON.  Output files are only written after the
+computation succeeds.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _sig12(value):
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _load_contexts(path: str):
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
     except DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.output:

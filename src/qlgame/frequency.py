@@ -20,6 +20,51 @@ DEFAULT_WINDOW_FRACTION = 0.1
 DEFAULT_STABILIZATION_TOL = 0.01
 
 
+_UTF32 = "utf-32-le"
+_BLOCK = 1 << 16
+
+
+def _one_char(labels: Iterable) -> bool:
+    """Whether every label is an exact ``str`` of length 1."""
+    return all(type(label) is str and len(label) == 1 for label in labels)
+
+
+def _code(labels: Sequence) -> tuple[np.ndarray, tuple]:
+    """The labels as (codes, alphabet), the alphabet in order of first appearance.
+
+    When every distinct label is an exact one-character ``str``, the joined
+    labels are read as UTF-32 code points and ``searchsorted`` maps them to
+    the sorted distinct points; ``minimum.at`` finds each point's first
+    position and the codes are remapped to first-appearance order.  Any
+    other labels are mapped through a dictionary, one label at a time.
+    """
+    distinct = set(labels)
+    if not _one_char(distinct):
+        alphabet = tuple(dict.fromkeys(labels))
+        lookup = {label: k for k, label in enumerate(alphabet)}
+        return np.fromiter(map(lookup.__getitem__, labels), np.intp, len(labels)), alphabet
+    points = np.sort(np.fromiter(map(ord, distinct), np.uint32, len(distinct)))
+    text = "".join(labels).encode(_UTF32, "surrogatepass")
+    codes = np.searchsorted(points, np.frombuffer(text, np.uint32))
+    del text
+    # First position of each point, a block at a time, so that no n-long
+    # position array is built; most sequences show every label in block one.
+    first = np.full(points.size, codes.size)
+    step = max(_BLOCK, points.size)
+    for start in range(0, codes.size, step):
+        block = codes[start:start + step]
+        np.minimum.at(first, block, np.arange(start, start + block.size))
+        if first.max() < codes.size:
+            break
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # Remapped in place: clip mode reads each code before it writes that
+    # slot and, unlike the default mode, builds no buffer.
+    np.take(rank, codes, out=codes, mode="clip")
+    return codes, tuple(map(chr, points[order].tolist()))
+
+
 class TrialSequence:
     """Ordered outcomes observed under one generating context.
 
@@ -30,10 +75,7 @@ class TrialSequence:
 
     def __init__(self, outcomes: Iterable[str], context_tag: str = "C"):
         labels = outcomes if isinstance(outcomes, (tuple, list)) else tuple(outcomes)
-        alphabet = tuple(dict.fromkeys(labels))
-        lookup = {label: k for k, label in enumerate(alphabet)}
-        codes = np.fromiter(map(lookup.__getitem__, labels), np.intp, len(labels))
-        self._set(codes, alphabet, context_tag)
+        self._set(*_code(labels), context_tag)
 
     @classmethod
     def _from_codes(cls, codes: np.ndarray, alphabet: tuple[str, ...], context_tag: str):
@@ -49,6 +91,9 @@ class TrialSequence:
 
     @cached_property
     def outcomes(self) -> tuple[str, ...]:
+        if _one_char(self.alphabet):
+            points = np.fromiter(map(ord, self.alphabet), np.uint32, len(self.alphabet))
+            return tuple(str(points[self.codes], _UTF32, "surrogatepass"))
         return tuple(np.array(self.alphabet, dtype=object)[self.codes].tolist())
 
     def __len__(self) -> int:
@@ -151,15 +196,20 @@ def conditional_frequencies(
     that outcome — and estimates frequencies of the results.
     """
     selected = [result for condition, result in pairs if condition == given]
+    if not selected:
+        raise ValidationError(f"no pair has condition {given!r}")
     return estimate_frequencies(
         TrialSequence(selected, context_tag=f"{context_tag}_{given}"), alphabet
     )
 
 
 def read_sequence(source, context_tag: str = "C") -> TrialSequence:
-    """Read a plain-text sequence: one outcome label per line, blanks skipped."""
+    """Read a plain-text sequence: one outcome label per line, blanks skipped.
+
+    A path is read as UTF-8; its line list is freed before the labels are coded.
+    """
     if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
-    else:
-        lines = source
-    return TrialSequence(list(filter(None, map(str.strip, lines))), context_tag=context_tag)
+        source = Path(source).read_text(encoding="utf-8").splitlines()
+    labels = list(filter(None, map(str.strip, source)))
+    del source
+    return TrialSequence(labels, context_tag=context_tag)

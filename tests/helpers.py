@@ -1,6 +1,7 @@
 """Shared fixtures-as-functions: canonical contexts, payoff specs, and the
 seeded random-context generator used by property and acceptance tests."""
 
+import re
 import warnings
 
 import numpy as np
@@ -151,6 +152,29 @@ def feasibility_interval_oracle(system: ql.PairwiseSystem, tol: float = 1e-9) ->
                 else:
                     hi = min(hi, base)
     return lo <= hi + tol
+
+
+def reference_codes(labels) -> tuple[list[int], tuple]:
+    """(codes, alphabet) through one dictionary, the alphabet in order of
+    first appearance: the coding ``TrialSequence`` keeps for every label."""
+    alphabet = tuple(dict.fromkeys(labels))
+    lookup = {label: k for k, label in enumerate(alphabet)}
+    return [lookup[label] for label in labels], alphabet
+
+
+# Every boundary ``str.splitlines`` knows, "\r\n" first so that it counts once.
+LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
+def reference_read_lines(text: str) -> list[str]:
+    """The labels of a sequence file, one line at a time: each line is
+    stripped and blank lines are skipped."""
+    labels = []
+    for line in LINE_BREAK.split(text):
+        label = line.strip()
+        if label:
+            labels.append(label)
+    return labels
 
 
 def reference_indices(outcomes, alphabet) -> list[int]:

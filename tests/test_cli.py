@@ -496,6 +496,32 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--input", "{bad}"),
+        ("qlra", "--input", "{bad}"),
+        ("average", "--game", "{bad}", "--context", "{d1}"),
+        ("average", "--game", "{game}", "--context", "{bad}"),
+        ("feasibility", "--input", "{bad}"),
+        ("simulate", "--game", "{bad}", "--context", "{d1}", "--trials", "10", "--seed", "1"),
+        ("simulate", "--game", "{game}", "--context", "{bad}", "--trials", "10", "--seed", "1"),
+        ("estimate", "--input", "{bad}"),
+    ],
+)
+def test_non_utf8_input_exits_2(capsys, d1_file, game_file, tmp_path, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff\xfeF\nI\n")
+    out_path = tmp_path / "out.json"
+    paths = {"bad": bad, "d1": d1_file, "game": game_file}
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv), "--output", out_path)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "utf-8" in lines[0]
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")
 
 

@@ -1,3 +1,7 @@
+import tempfile
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +88,13 @@ def test_conditional_frequencies_filter():
     assert cond.prob("I") == pytest.approx(1 / 3)
 
 
+@pytest.mark.parametrize("pairs", [[("F", "F"), ("F", "I")], []])
+def test_conditional_frequencies_names_absent_condition(pairs):
+    with pytest.raises(ql.ValidationError) as exc:
+        ql.conditional_frequencies(pairs, given="I")
+    assert str(exc.value) == "no pair has condition 'I'"
+
+
 def test_generator_agreement_bound():
     # final frequency within 4*sqrt(p(1-p)/N) of the generator probability
     p = 0.3
@@ -156,3 +167,74 @@ def test_sequence_codes_are_read_only():
     with pytest.raises(ValueError):
         seq.codes[0] = 1
 
+
+# One-character labels (non-ASCII, astral, a lone surrogate, whitespace and
+# NUL among them) take the joined-text coding; "", longer labels and ints
+# take the dictionary.
+ONE_CHAR = ["F", "I", "é", "字", "🍷", "\ud800", "\udfff", "\x00", " "]
+OTHER = ["", "F I", "FI", "🍷🍷", 0, 7]
+CODEC_CASES = st.lists(
+    st.one_of(st.sampled_from(ONE_CHAR + OTHER), st.characters(exclude_categories=())),
+    min_size=1, max_size=6, unique=True,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=200))
+
+
+@given(labels=CODEC_CASES, form=st.sampled_from([list, tuple, iter]))
+def test_codec_matches_dict_reference(labels, form):
+    codes, alphabet = helpers.reference_codes(labels)
+    seq = TrialSequence(form(labels))
+    assert seq.alphabet == alphabet
+    assert [type(label) for label in seq.alphabet] == [type(label) for label in alphabet]
+    assert seq.codes.dtype == np.intp and not seq.codes.flags.writeable
+    assert seq.codes.tolist() == codes
+    assert seq.outcomes == tuple(labels) and len(seq) == len(labels)
+
+
+def test_codec_coding_is_linear_in_distinct_labels():
+    # 2e5 labels over 5e4 distinct astral characters, each first seen after
+    # a run of 1.5e5 "F"s: a scan per distinct label would cost ~5e4 passes
+    # of at least 1.5e5 labels each.
+    rng = np.random.default_rng(7)
+    many = ["F"] * 150_000 + [chr(0x10000 + k) for k in rng.permutation(50_000)]
+    two = [("F", "I")[k] for k in rng.integers(0, 2, len(many))]
+
+    def best(labels):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            TrialSequence(labels)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    seq = TrialSequence(many)
+    assert len(seq.alphabet) == 50_001 and seq.outcomes == tuple(many)
+    assert (seq.codes.tolist(), seq.alphabet) == helpers.reference_codes(many)
+    assert best(many) < 30 * best(two)
+
+
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x1c", " "]
+READ_LABELS = ["F", "I", "é", "🍷", "F I", "FI", " ", ""]
+
+
+@given(
+    lines=st.lists(
+        st.tuples(
+            st.sampled_from(["", " ", "  ", "\t"]),
+            st.sampled_from(READ_LABELS),
+            st.sampled_from(["", " ", "\t "]),
+            st.sampled_from(LINE_BREAKS),
+        ),
+        max_size=60,
+    )
+)
+def test_read_sequence_matches_line_reference(lines):
+    text = "".join("".join(line) for line in lines)
+    labels = helpers.reference_read_lines(text)
+    codes, alphabet = helpers.reference_codes(labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq.txt"
+        path.write_bytes(text.encode("utf-8"))
+        read = (read_sequence(path), read_sequence(str(path)), read_sequence(text.splitlines()))
+    for seq in read:
+        assert seq.outcomes == tuple(labels) and seq.alphabet == alphabet
+        assert seq.codes.tolist() == codes
