@@ -34,8 +34,6 @@ from .hilbert import (
     delta_basis,
     expand_in_basis,
     inner_product,
-    random_orthonormal_basis,
-    random_unit_vector,
 )
 from .representation import (
     HYPERBOLIC,
@@ -62,7 +60,6 @@ from .game import (
     interference_average,
     multidim_average,
     part_average,
-    part_joint,
     ql_average,
     three_player_representations,
     total_averages,

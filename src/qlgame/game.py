@@ -130,21 +130,32 @@ class GameAverages:
     part_averages: tuple[dict[str, float], ...]
     totals: dict[str, float]
 
-    @classmethod
-    def from_parts(cls, parts, players) -> "GameAverages":
-        parts = tuple({p: float(avg.get(p, 0.0)) for p in players} for avg in parts)
-        totals = {p: float(sum(avg[p] for avg in parts)) for p in players}
-        return cls(parts, totals)
+
+def _weighted(payoff: PayoffMatrix, table: np.ndarray, axis=None):
+    """``h * table`` summed over ``axis`` (all of it by default), refused
+    unless the payoff ``h`` is shaped like the chooser-first ``table``."""
+    if payoff.entries.shape != table.shape:
+        raise ValidationError(
+            f"payoff shape {payoff.entries.shape} does not match joint {table.shape}"
+        )
+    return (payoff.entries * table).sum(axis=axis)
 
 
 def part_average(joint: JointTable, payoff: PayoffMatrix) -> float:
     """Payoff-weighted sum ``sum_{i,j} h[i, j] p(first=i, second=j)``."""
-    if payoff.entries.shape != joint.entries.shape:
-        raise ValidationError(
-            f"payoff shape {payoff.entries.shape} does not match joint "
-            f"{joint.entries.shape}"
-        )
-    return float((payoff.entries * joint.entries).sum())
+    return float(_weighted(payoff, joint.entries))
+
+
+def _averages(spec: GameSpec, tables) -> GameAverages:
+    """Part averages over one chooser-first table per part: contextual
+    joints, squared inner products or relative frequencies.  A lazy
+    ``tables`` is read part by part, so refusals keep their part order."""
+    parts = []
+    for part, table in zip(spec.parts, tables):
+        paid = {player: float(_weighted(h, table)) for player, h in part.payoffs.items()}
+        parts.append({player: paid.get(player, 0.0) for player in spec.players})
+    totals = {player: float(sum(avg[player] for avg in parts)) for player in spec.players}
+    return GameAverages(tuple(parts), totals)
 
 
 PairContexts = Mapping[tuple[str, str], ContextData]
@@ -180,12 +191,6 @@ def part_statistics(part: GamePart, pair_contexts: PairContexts):
     )
 
 
-def part_joint(part: GamePart, pair_contexts: PairContexts) -> JointTable:
-    """Chooser-first joint table for one part."""
-    marginal, trans = part_statistics(part, pair_contexts)
-    return joint_distribution(marginal, trans, (part.chooser, part.tester))
-
-
 def total_averages(spec: GameSpec, contexts) -> GameAverages:
     """Probabilistic part averages and per-player totals.
 
@@ -193,13 +198,10 @@ def total_averages(spec: GameSpec, contexts) -> GameAverages:
     a mapping from (chooser, tester) pairs to contexts.
     """
     pair_contexts = normalize_contexts(spec, contexts)
-    parts = []
-    for part in spec.parts:
-        joint = part_joint(part, pair_contexts)
-        parts.append(
-            {player: part_average(joint, payoff) for player, payoff in part.payoffs.items()}
-        )
-    return GameAverages.from_parts(parts, spec.players)
+    return _averages(
+        spec,
+        (joint_distribution(*part_statistics(part, pair_contexts)).entries for part in spec.parts),
+    )
 
 
 def _born_profile(rep: QLRepresentation):
@@ -207,8 +209,7 @@ def _born_profile(rep: QLRepresentation):
     born_a = np.array([born_probability(psi, v) for v in rep.a_basis.vectors])
     born_b = np.array([born_probability(psi, v) for v in rep.b_basis.vectors])
     # trans[alpha, beta] = |<e_beta^b, e_alpha^a>|^2, same modulus either way round
-    trans = np.abs(rep.a_basis.vectors @ rep.b_basis.vectors.conj().T) ** 2
-    return born_a, born_b, trans
+    return born_a, born_b, rep._born_tables[2]
 
 
 def ql_average(rep: QLRepresentation, spec: GameSpec) -> GameAverages:
@@ -219,19 +220,8 @@ def ql_average(rep: QLRepresentation, spec: GameSpec) -> GameAverages:
         raise ValidationError("QL averages are defined for two-player games")
     born_a, born_b, trans = _born_profile(rep)
     first, second = spec.players
-    parts = []
-    for part in spec.parts:
-        if part.chooser == first:
-            weights = born_a[:, None] * trans
-        else:
-            weights = born_b[:, None] * trans.T
-        parts.append(
-            {
-                player: float((payoff.entries * weights).sum())
-                for player, payoff in part.payoffs.items()
-            }
-        )
-    return GameAverages.from_parts(parts, spec.players)
+    weights = {first: born_a[:, None] * trans, second: born_b[:, None] * trans.T}
+    return _averages(spec, [weights[part.chooser] for part in spec.parts])
 
 
 def zero_sum_symmetric_average(rep: QLRepresentation, tester_payoff_part1: PayoffMatrix) -> float:
@@ -240,8 +230,7 @@ def zero_sum_symmetric_average(rep: QLRepresentation, tester_payoff_part1: Payof
     difference of the two squared state projections times its payoff row.
     """
     born_a, born_b, trans = _born_profile(rep)
-    row_payoff = (tester_payoff_part1.entries * trans).sum(axis=1)
-    return float(((born_a - born_b) * row_payoff).sum())
+    return float(((born_a - born_b) * _weighted(tester_payoff_part1, trans, axis=1)).sum())
 
 
 def interference_average(rep: QLRepresentation, tester_payoff_part1: PayoffMatrix) -> float:
@@ -255,7 +244,7 @@ def interference_average(rep: QLRepresentation, tester_payoff_part1: PayoffMatri
     z0, z1 = z[:, 0], z[:, 1]
     cross = 2.0 * np.abs(z0) * np.abs(z1) * np.cos(np.angle(z0) - np.angle(z1))
     born_b_expanded = np.abs(z0) ** 2 + np.abs(z1) ** 2 + cross
-    row_payoff = (tester_payoff_part1.entries * trans).sum(axis=1)
+    row_payoff = _weighted(tester_payoff_part1, trans, axis=1)
     return float(((born_a - born_b_expanded) * row_payoff).sum())
 
 

@@ -140,13 +140,3 @@ def expand_in_basis(v, basis: OrthonormalBasis) -> np.ndarray:
         raise HilbertError(f"dimension mismatch: {v.size} vs {basis.dimension}")
     return basis.vectors.conj() @ v
 
-
-def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
-def random_orthonormal_basis(n: int, rng: np.random.Generator) -> OrthonormalBasis:
-    """Orthonormalised rows of a complex Gaussian matrix (QR of its transpose)."""
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return OrthonormalBasis(np.linalg.qr(raw.T)[0].T)

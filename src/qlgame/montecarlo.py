@@ -15,6 +15,7 @@ uniform variate per trial, inverse-CDF over the fixed outcome order.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .frequency import TrialSequence
 from .game import (
     GameAverages,
     GameSpec,
+    _averages,
     _born_game,
     normalize_contexts,
     part_statistics,
@@ -40,13 +42,20 @@ class GeneratorSpec:
     stream_id: str
 
 
+def _integer(value, name: str) -> int:
+    # bool is an Integral, and int() would truncate 1.5 to a different seed
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def stream_rng(seed: int, stream_id: str, partition: int = 0) -> np.random.Generator:
     """Independent PCG64 stream for (seed, stream id, partition).
 
     The stream id is hashed (SHA-256) into seed words so that label choice,
     not Python's randomized ``hash``, determines the stream.
     """
-    seed = int(seed)
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
     digest = hashlib.sha256(stream_id.encode("utf-8")).digest()
@@ -75,6 +84,8 @@ MAX_PARTITIONS = 4096
 
 
 def _partition_sizes(trials: int, partitions: int) -> list[int]:
+    trials = _integer(trials, "trials")
+    partitions = _integer(partitions, "partitions")
     if trials < 1:
         raise ValidationError("trials must be at least 1")
     if partitions < 1:
@@ -180,7 +191,6 @@ def simulate_game(
     part_labels = []
     part_counts = []
     joints = []
-    part_avgs = []
     for k, part in enumerate(spec.parts):
         marginal, trans = part_statistics(part, pair_contexts)
         label = f"part{k}:{part.chooser}>{part.tester}"
@@ -193,17 +203,11 @@ def simulate_game(
         joints.append(
             JointTable((part.chooser, part.tester), freq, marginal.alphabet)
         )
-        part_avgs.append(
-            {
-                player: float(np.sum(payoff.entries * freq))
-                for player, payoff in part.payoffs.items()
-            }
-        )
-    empirical = GameAverages.from_parts(part_avgs, spec.players)
+    empirical = _averages(spec, [joint.entries for joint in joints])
     return SimulationReport(
-        trials=trials,
-        seed=seed,
-        partitions=partitions,
+        trials=int(trials),
+        seed=int(seed),
+        partitions=int(partitions),
         part_labels=tuple(part_labels),
         part_counts=tuple(part_counts),
         empirical_joints=tuple(joints),

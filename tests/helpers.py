@@ -8,6 +8,7 @@ import numpy as np
 
 import qlgame as ql
 from qlgame.classicality import FEASIBILITY_TOL, _pairwise_constraints
+from qlgame.game import normalize_contexts, part_statistics
 from qlgame.hilbert import NORM_TOL, HilbertError
 from qlgame.probability import PROB_TOL, _frozen, _labels
 
@@ -27,6 +28,17 @@ HYPERBOLIC_RAW = {
 
 MATCH = ql.PayoffMatrix([[1.0, -1.0], [-1.0, 1.0]])
 MIRROR = ql.PayoffMatrix([[-1.0, 1.0], [1.0, -1.0]])
+
+
+def random_unit_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+def random_orthonormal_basis(n: int, rng: np.random.Generator) -> ql.OrthonormalBasis:
+    """Orthonormalised rows of a complex Gaussian matrix (QR of its transpose)."""
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return ql.OrthonormalBasis(np.linalg.qr(raw.T)[0].T)
 
 
 def d1_context() -> ql.ContextData:
@@ -386,3 +398,64 @@ def reference_joint_feasibility(system):
     else:
         x = reference_phase1_simplex(A, b, FEASIBILITY_TOL)
     return None if x is None else x.reshape((k, k, k))
+
+
+def _reference_game_averages(parts, players) -> ql.GameAverages:
+    parts = tuple({p: float(avg.get(p, 0.0)) for p in players} for avg in parts)
+    totals = {p: float(sum(avg[p] for avg in parts)) for p in players}
+    return ql.GameAverages(parts, totals)
+
+
+def reference_total_averages(spec, contexts) -> ql.GameAverages:
+    """Probabilistic averages part by part: each chooser-first joint table,
+    then ``sum h * joint`` for every paid player."""
+    pair_contexts = normalize_contexts(spec, contexts)
+    parts = []
+    for part in spec.parts:
+        marginal, trans = part_statistics(part, pair_contexts)
+        joint = ql.joint_distribution(marginal, trans, (part.chooser, part.tester))
+        parts.append(
+            {
+                player: float((payoff.entries * joint.entries).sum())
+                for player, payoff in part.payoffs.items()
+            }
+        )
+    return _reference_game_averages(parts, spec.players)
+
+
+def reference_ql_average(rep, spec) -> ql.GameAverages:
+    """State-space averages from one Born probability per basis vector and
+    the squared inner products of the two bases."""
+    psi = rep.psi
+    born_a = np.array([ql.born_probability(psi, v) for v in rep.a_basis.vectors])
+    born_b = np.array([ql.born_probability(psi, v) for v in rep.b_basis.vectors])
+    trans = np.abs(rep.a_basis.vectors @ rep.b_basis.vectors.conj().T) ** 2
+    first, second = spec.players
+    parts = []
+    for part in spec.parts:
+        if part.chooser == first:
+            weights = born_a[:, None] * trans
+        else:
+            weights = born_b[:, None] * trans.T
+        parts.append(
+            {
+                player: float((payoff.entries * weights).sum())
+                for player, payoff in part.payoffs.items()
+            }
+        )
+    return _reference_game_averages(parts, spec.players)
+
+
+def reference_empirical_averages(spec, report) -> ql.GameAverages:
+    """Simulated averages from the report's joint counts, as relative
+    frequencies ``counts / trials`` weighted by each paid player's payoff."""
+    parts = []
+    for part, counts in zip(spec.parts, report.part_counts):
+        freq = counts / report.trials
+        parts.append(
+            {
+                player: float(np.sum(payoff.entries * freq))
+                for player, payoff in part.payoffs.items()
+            }
+        )
+    return _reference_game_averages(parts, spec.players)

@@ -188,9 +188,9 @@ def test_criterion_6_monte_carlo_convergence(d1):
 
 def test_criterion_7_multidim_consistency(d1):
     rng = np.random.default_rng(424242)
-    a4 = ql.random_orthonormal_basis(4, rng)
-    b4 = ql.random_orthonormal_basis(4, rng)
-    psi4 = ql.random_unit_vector(4, rng)
+    a4 = helpers.random_orthonormal_basis(4, rng)
+    b4 = helpers.random_orthonormal_basis(4, rng)
+    psi4 = helpers.random_unit_vector(4, rng)
     h1 = rng.uniform(-1.0, 1.0, size=(4, 4))
     h2 = rng.uniform(-1.0, 1.0, size=(4, 4))
     analytic = ql.multidim_average(psi4, a4, b4, h1, h2)

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qlgame as ql
 import helpers
 from helpers import MATCH, MIRROR
-from qlgame.game import _basis_map_unitary
+from qlgame.game import _basis_map_unitary, _born_game
 
 
 def spin_identification_discrepancy(delta: float) -> float:
@@ -165,8 +166,8 @@ def test_interference_average_matches_per_vector_reference(rng):
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_basis_map_unitary_matches_outer_product_sum(n, rng):
-    source = ql.random_orthonormal_basis(n, rng).vectors
-    target = ql.random_orthonormal_basis(n, rng).vectors
+    source = helpers.random_orthonormal_basis(n, rng).vectors
+    target = helpers.random_orthonormal_basis(n, rng).vectors
     u = _basis_map_unitary(source, target)
     reference = sum(np.outer(target[k], source[k].conj()) for k in range(n))
     assert np.max(np.abs(u - reference)) < 1e-12
@@ -238,31 +239,31 @@ def test_multidim_reduces_to_two_player(d1):
 
 
 def test_multidim_identical_bases_diagonal_reward(rng):
-    basis = ql.random_orthonormal_basis(3, rng)
-    psi = ql.random_unit_vector(3, rng)
+    basis = helpers.random_orthonormal_basis(3, rng)
+    psi = helpers.random_unit_vector(3, rng)
     reward = np.eye(3)
     value = ql.multidim_average(psi, basis, basis, reward, np.zeros((3, 3)))
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_multidim_zero_payoffs(rng):
-    a4 = ql.random_orthonormal_basis(4, rng)
-    b4 = ql.random_orthonormal_basis(4, rng)
-    psi = ql.random_unit_vector(4, rng)
+    a4 = helpers.random_orthonormal_basis(4, rng)
+    b4 = helpers.random_orthonormal_basis(4, rng)
+    psi = helpers.random_unit_vector(4, rng)
     assert ql.multidim_average(psi, a4, b4, np.zeros((4, 4)), np.zeros((4, 4))) == 0.0
 
 
 def test_multidim_dimension_mismatch(rng):
-    a3 = ql.random_orthonormal_basis(3, rng)
-    b4 = ql.random_orthonormal_basis(4, rng)
+    a3 = helpers.random_orthonormal_basis(3, rng)
+    b4 = helpers.random_orthonormal_basis(4, rng)
     with pytest.raises(ql.ValidationError, match="dimension"):
-        ql.multidim_average(ql.random_unit_vector(3, rng), a3, b4, np.zeros((3, 3)), np.zeros((3, 3)))
+        ql.multidim_average(helpers.random_unit_vector(3, rng), a3, b4, np.zeros((3, 3)), np.zeros((3, 3)))
 
 
 def test_multidim_raw_payoffs_raise_no_convention_warning(rng):
-    a3 = ql.random_orthonormal_basis(3, rng)
-    b3 = ql.random_orthonormal_basis(3, rng)
-    psi = ql.random_unit_vector(3, rng)
+    a3 = helpers.random_orthonormal_basis(3, rng)
+    b3 = helpers.random_orthonormal_basis(3, rng)
+    psi = helpers.random_unit_vector(3, rng)
     h1, h2 = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -271,7 +272,7 @@ def test_multidim_raw_payoffs_raise_no_convention_warning(rng):
 
 
 def test_multidim_rejects_nan_payoff(rng):
-    basis = ql.random_orthonormal_basis(2, rng)
+    basis = helpers.random_orthonormal_basis(2, rng)
     h = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ql.ValidationError, match="finite"):
         ql.multidim_average(np.array([1.0, 0.0]), basis, basis, np.eye(2), h)
@@ -295,4 +296,114 @@ def test_game_spec_json_round_trip():
     assert again.zero_sum
     assert np.array_equal(
         again.parts[0].payoffs["bob"].entries, spec.parts[0].payoffs["bob"].entries
+    )
+
+
+WRONG_SHAPE = ql.PayoffMatrix(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize(
+    "average",
+    [
+        pytest.param(lambda spec, ctx, rep: ql.total_averages(spec, ctx), id="total"),
+        pytest.param(lambda spec, ctx, rep: ql.simulate_game(spec, ctx, 10, 1), id="simulated"),
+        pytest.param(lambda spec, ctx, rep: ql.ql_average(rep, spec), id="ql"),
+        pytest.param(
+            lambda spec, ctx, rep: ql.zero_sum_symmetric_average(rep, WRONG_SHAPE), id="factored"
+        ),
+        pytest.param(
+            lambda spec, ctx, rep: ql.interference_average(rep, WRONG_SHAPE), id="interference"
+        ),
+    ],
+)
+def test_every_average_refuses_a_wrong_shaped_payoff(d1, average):
+    spec = ql.GameSpec(
+        ("alice", "bob"),
+        (
+            ql.GamePart("alice", "bob", {"bob": WRONG_SHAPE}),
+            ql.GamePart("bob", "alice", {"bob": WRONG_SHAPE}),
+        ),
+    )
+    with pytest.raises(ql.ValidationError) as info:
+        average(spec, d1, ql.build_representation(d1))
+    assert str(info.value) == "payoff shape (3, 3) does not match joint (2, 2)"
+
+
+def _items(averages: ql.GameAverages):
+    """Every part average and total, with the order of its players."""
+    return [list(part.items()) for part in averages.part_averages], list(averages.totals.items())
+
+
+def _random_context(rng, alphabet) -> ql.ContextData:
+    k = len(alphabet)
+    marginals = [ql.Distribution(rng.dirichlet(np.ones(k)), alphabet) for _ in range(2)]
+    rows = [ql.TransitionMatrix(rng.dirichlet(np.ones(k), size=k), alphabet) for _ in range(2)]
+    return ql.ContextData(*marginals, *rows)
+
+
+def _random_spec(rng, players, pairs, k) -> ql.GameSpec:
+    """One to four parts over ``pairs``, each played in either order and
+    paying each roster player (in or out of the part) with probability 1/2."""
+    parts = []
+    for _ in range(rng.integers(1, 5)):
+        chooser, tester = pairs[rng.integers(len(pairs))][:: rng.choice([1, -1])]
+        payoffs = {
+            player: ql.PayoffMatrix(rng.uniform(-2.0, 2.0, size=(k, k)))
+            for player in players
+            if rng.random() < 0.5
+        }
+        parts.append(ql.GamePart(chooser, tester, payoffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ql.PayoffConventionWarning)
+        return ql.GameSpec(players, tuple(parts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 4), three=st.booleans())
+def test_game_averages_keep_their_bits(seed, k, three):
+    rng = np.random.default_rng(seed)
+    alphabet = tuple(f"o{j}" for j in range(k))
+    players = ("alice", "bob", "cecilia") if three else ("alice", "bob")
+    cycle = [(players[j], players[(j + 1) % len(players)]) for j in range(len(players))]
+    pairs = cycle if three else cycle[:1]
+    # each pair's context stored under either orientation
+    contexts = {pair[:: rng.choice([1, -1])]: _random_context(rng, alphabet) for pair in pairs}
+    if not three and rng.random() < 0.5:
+        (contexts,) = contexts.values()
+    spec = _random_spec(rng, players, pairs, k)
+    expected = helpers.reference_total_averages(spec, contexts)
+    assert _items(ql.total_averages(spec, contexts)) == _items(expected)
+    report = ql.simulate_game(
+        spec, contexts, int(rng.integers(1, 10**6)), int(rng.integers(2**32)),
+        partitions=int(rng.integers(1, 5)),
+    )
+    assert _items(report.analytic_averages) == _items(expected)
+    assert _items(report.empirical_averages) == _items(
+        helpers.reference_empirical_averages(spec, report)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_ql_averages_keep_their_bits(seed):
+    rng = np.random.default_rng(seed)
+    rep = ql.build_representation(helpers.random_trig_context(rng))
+    spec = _random_spec(rng, ("alice", "bob"), [("alice", "bob")], 2)
+    assert _items(ql.ql_average(rep, spec)) == _items(helpers.reference_ql_average(rep, spec))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
+def test_multidim_averages_keep_their_bits(seed, n):
+    rng = np.random.default_rng(seed)
+    psi = helpers.random_unit_vector(n, rng)
+    a, b = (helpers.random_orthonormal_basis(n, rng) for _ in range(2))
+    h1, h2 = rng.uniform(-2.0, 2.0, size=(2, n, n))
+    spec, context = _born_game(psi, a, b, h1, h2)
+    expected = helpers.reference_total_averages(spec, context)
+    assert ql.multidim_average(psi, a, b, h1, h2) == expected.totals["b"]
+    report = ql.simulate_multidim(psi, a, b, h1, h2, trials=10**5, seed=seed)
+    assert _items(report.analytic_averages) == _items(expected)
+    assert _items(report.empirical_averages) == _items(
+        helpers.reference_empirical_averages(spec, report)
     )

@@ -72,7 +72,7 @@ def test_born_probability_d1_amplitude(d1):
 
 
 def test_expand_in_delta_basis(rng):
-    v = ql.random_unit_vector(4, rng)
+    v = helpers.random_unit_vector(4, rng)
     coeffs = ql.expand_in_basis(v, ql.delta_basis(4))
     assert np.allclose(coeffs, v)
 
@@ -85,7 +85,7 @@ def test_expand_d1_b_vector_in_a_basis(d1):
 
 
 def test_expand_basis_vector_in_own_basis(rng):
-    basis = ql.random_orthonormal_basis(3, rng)
+    basis = helpers.random_orthonormal_basis(3, rng)
     coeffs = ql.expand_in_basis(basis[1], basis)
     assert np.allclose(coeffs, [0.0, 1.0, 0.0], atol=1e-10)
 
@@ -93,8 +93,8 @@ def test_expand_basis_vector_in_own_basis(rng):
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_reconstruction_and_parseval(n, rng):
     for _ in range(10):
-        basis = ql.random_orthonormal_basis(n, rng)
-        v = ql.random_unit_vector(n, rng)
+        basis = helpers.random_orthonormal_basis(n, rng)
+        v = helpers.random_unit_vector(n, rng)
         coeffs = ql.expand_in_basis(v, basis)
         assert np.max(np.abs(coeffs @ basis.vectors - v)) < 1e-10
         assert np.sum(np.abs(coeffs) ** 2) == pytest.approx(
@@ -103,9 +103,9 @@ def test_reconstruction_and_parseval(n, rng):
 
 
 def test_expectation_global_phase_invariance(rng):
-    basis = ql.random_orthonormal_basis(3, rng)
+    basis = helpers.random_orthonormal_basis(3, rng)
     eigen = np.array([0.5, -1.5, 2.0])
-    state = ql.random_unit_vector(3, rng)
+    state = helpers.random_unit_vector(3, rng)
     rotated = np.exp(1j * 0.7343) * state
     born, _, _ = born_tables(state, basis, basis)
     born_rotated, _, _ = born_tables(rotated, basis, basis)

@@ -136,9 +136,9 @@ def test_frequency_agreement_with_generator(d1):
 
 
 def test_simulate_multidim_matches_analytic(rng):
-    a4 = ql.random_orthonormal_basis(4, rng)
-    b4 = ql.random_orthonormal_basis(4, rng)
-    psi = ql.random_unit_vector(4, rng)
+    a4 = helpers.random_orthonormal_basis(4, rng)
+    b4 = helpers.random_orthonormal_basis(4, rng)
+    psi = helpers.random_unit_vector(4, rng)
     h1 = rng.uniform(-1.0, 1.0, size=(4, 4))
     h2 = rng.uniform(-1.0, 1.0, size=(4, 4))
     report = ql.simulate_multidim(psi, a4, b4, h1, h2, trials=10**6, seed=5)
@@ -148,8 +148,8 @@ def test_simulate_multidim_matches_analytic(rng):
 
 
 def test_simulate_multidim_identical_bases_diagonal(rng):
-    basis = ql.random_orthonormal_basis(2, rng)
-    psi = ql.random_unit_vector(2, rng)
+    basis = helpers.random_orthonormal_basis(2, rng)
+    psi = helpers.random_unit_vector(2, rng)
     report = ql.simulate_multidim(
         psi, basis, basis, np.eye(2), np.zeros((2, 2)), trials=1000, seed=8
     )
@@ -157,9 +157,9 @@ def test_simulate_multidim_identical_bases_diagonal(rng):
 
 
 def test_simulate_multidim_zero_payoffs(rng):
-    basis_a = ql.random_orthonormal_basis(3, rng)
-    basis_b = ql.random_orthonormal_basis(3, rng)
-    psi = ql.random_unit_vector(3, rng)
+    basis_a = helpers.random_orthonormal_basis(3, rng)
+    basis_b = helpers.random_orthonormal_basis(3, rng)
+    psi = helpers.random_unit_vector(3, rng)
     report = ql.simulate_multidim(
         psi, basis_a, basis_b, np.zeros((3, 3)), np.zeros((3, 3)), trials=100, seed=2
     )
@@ -168,7 +168,7 @@ def test_simulate_multidim_zero_payoffs(rng):
 
 
 def test_simulate_multidim_rejects_non_unit(rng):
-    basis = ql.random_orthonormal_basis(2, rng)
+    basis = helpers.random_orthonormal_basis(2, rng)
     with pytest.raises(ql.ValidationError, match="norm"):
         ql.simulate_multidim(
             np.array([1.0, 1.0]), basis, basis, np.eye(2), np.eye(2), trials=10, seed=1
@@ -176,9 +176,9 @@ def test_simulate_multidim_rejects_non_unit(rng):
 
 
 def test_simulate_multidim_raw_payoffs_raise_no_convention_warning(rng):
-    a3 = ql.random_orthonormal_basis(3, rng)
-    b3 = ql.random_orthonormal_basis(3, rng)
-    psi = ql.random_unit_vector(3, rng)
+    a3 = helpers.random_orthonormal_basis(3, rng)
+    b3 = helpers.random_orthonormal_basis(3, rng)
+    psi = helpers.random_unit_vector(3, rng)
     h1, h2 = rng.uniform(-1.0, 1.0, size=(2, 3, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -186,7 +186,7 @@ def test_simulate_multidim_raw_payoffs_raise_no_convention_warning(rng):
 
 
 def test_simulate_multidim_rejects_nan_payoff(rng):
-    basis = ql.random_orthonormal_basis(2, rng)
+    basis = helpers.random_orthonormal_basis(2, rng)
     h = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ql.ValidationError, match="finite"):
         ql.simulate_multidim(
@@ -195,7 +195,7 @@ def test_simulate_multidim_rejects_nan_payoff(rng):
 
 
 def test_simulate_multidim_reports_both_players(rng):
-    basis = ql.random_orthonormal_basis(2, rng)
+    basis = helpers.random_orthonormal_basis(2, rng)
     report = ql.simulate_multidim(
         np.array([1.0, 0.0]), basis, basis, np.eye(2), np.eye(2), trials=10, seed=1
     )
@@ -277,9 +277,9 @@ def test_simulate_game_cells_within_6_se(d1, seed):
 @pytest.mark.parametrize("seed", [3, 29, 811])
 def test_simulate_multidim_cells_within_6_se(seed):
     rng = np.random.default_rng(1000 + seed)
-    a3 = ql.random_orthonormal_basis(3, rng)
-    b3 = ql.random_orthonormal_basis(3, rng)
-    psi = ql.random_unit_vector(3, rng)
+    a3 = helpers.random_orthonormal_basis(3, rng)
+    b3 = helpers.random_orthonormal_basis(3, rng)
+    psi = helpers.random_unit_vector(3, rng)
     trials = 10**6
     report = ql.simulate_multidim(
         psi, a3, b3, np.eye(3), np.eye(3), trials=trials, seed=seed, partitions=4
@@ -328,7 +328,7 @@ def test_simulate_reports_repeat_per_partition_count(d1):
     [(10, 10**9), (1, 2), (2**63, 1), (2**70, 3), (10**9, 10**9)],
 )
 def test_simulation_arguments_bounded(d1, rng, trials, partitions):
-    basis = ql.random_orthonormal_basis(2, rng)
+    basis = helpers.random_orthonormal_basis(2, rng)
     runs = (
         lambda: ql.simulate_game(
             helpers.zero_sum_spec(), d1, trials=trials, seed=1, partitions=partitions
@@ -349,3 +349,40 @@ def test_partitions_may_equal_trials(d1):
     report = ql.simulate_game(helpers.zero_sum_spec(), d1, trials=7, seed=2, partitions=7)
     for counts in report.part_counts:
         assert counts.sum() == 7
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("trials", 1e3),
+        ("trials", True),
+        ("trials", "10"),
+        ("partitions", 2.0),
+        ("partitions", True),
+        ("seed", 1.5),
+        ("seed", 1.0),
+        ("seed", False),
+        ("seed", None),
+    ],
+)
+def test_simulation_refuses_non_integer_arguments(d1, rng, name, value):
+    basis = helpers.random_orthonormal_basis(2, rng)
+    args = {"trials": 10, "seed": 1, "partitions": 1, name: value}
+    runs = (
+        lambda: ql.simulate_game(helpers.zero_sum_spec(), d1, **args),
+        lambda: ql.simulate_multidim(np.array([1.0, 0.0]), basis, basis, np.eye(2), np.eye(2), **args),
+    )
+    for run in runs:
+        with pytest.raises(ql.ValidationError) as info:
+            run()
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_simulation_accepts_numpy_integers(d1):
+    # the report keeps plain ints, so that it still serialises to JSON
+    spec = helpers.zero_sum_spec()
+    plain = ql.simulate_game(spec, d1, trials=1000, seed=5, partitions=3)
+    typed = ql.simulate_game(
+        spec, d1, trials=np.int64(1000), seed=np.uint32(5), partitions=np.int16(3)
+    )
+    assert json.dumps(report_to_json(typed)) == json.dumps(report_to_json(plain))

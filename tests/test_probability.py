@@ -123,8 +123,8 @@ def test_each_table_is_checked_once(monkeypatch):
     checks, data = _table_checks(monkeypatch, lambda: ql.validate_context_data(helpers.D1_RAW))
     assert checks == 4
     rep = ql.build_representation(data)
-    psi = ql.random_unit_vector(4, rng)
-    a, b = (ql.random_orthonormal_basis(4, rng) for _ in range(2))
+    psi = helpers.random_unit_vector(4, rng)
+    a, b = (helpers.random_orthonormal_basis(4, rng) for _ in range(2))
     alphabet = ("w", "x", "y", "z")
     derived = {
         "reversibility": lambda: ql.check_reversibility(data),
