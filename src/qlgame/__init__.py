@@ -12,7 +12,6 @@ from .probability import (
     TransitionMatrix,
     ValidationError,
     check_reversibility,
-    context_from_json,
     context_to_json,
     joint_distribution,
     uniform_distribution,

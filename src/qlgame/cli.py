@@ -4,13 +4,15 @@ estimation, with JSON/CSV output.
 
 Exit status: 0 on success, 1 on a domain error (validation failure,
 hyperbolic context, ...), 2 on usage or I/O errors, including input files
-that are not UTF-8 or not JSON.  Output files are only written after the
-computation succeeds.
+that are not UTF-8 or not JSON and a failed write to stdout or
+``--output``.  Every failure prints one ``error:`` line and no traceback.
+Output files are only written after the computation succeeds.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,7 +25,6 @@ from .probability import (
     ValidationError,
     _named,
     check_reversibility,
-    context_from_json,
     context_to_json,
     validate_context_data,
 )
@@ -61,7 +62,7 @@ def _load_contexts(path: str):
     """Either a single context object or {"pairs": [{chooser, tester, context}]}."""
     obj = _load_json(path)
     if not (isinstance(obj, dict) and "pairs" in obj):
-        return context_from_json(obj)
+        return validate_context_data(obj)
     entries = obj["pairs"]
     if not isinstance(entries, list):
         raise ValidationError(
@@ -118,10 +119,17 @@ def _system_from_json(obj) -> classicality.PairwiseSystem:
         raise ValidationError(f"malformed pairwise system: {exc}") from exc
 
 
-def _cmd_validate(args) -> str:
-    data = context_from_json(_load_json(args.input))
+def _render(result) -> str:
+    """Text (the ``bell`` CSV) as given, anything else as 12-digit JSON."""
+    if isinstance(result, str):
+        return result
+    return json.dumps(_sig12(result), indent=2) + "\n"
+
+
+def _cmd_validate(args) -> dict:
+    data = validate_context_data(_load_json(args.input))
     rev = check_reversibility(data)
-    out = {
+    return {
         "valid": True,
         "r1_symmetric": data.r1_symmetric,
         "r2_positive": data.r2_positive,
@@ -131,16 +139,14 @@ def _cmd_validate(args) -> str:
         },
         "context": context_to_json(data),
     }
-    return json.dumps(_sig12(out), indent=2) + "\n"
 
 
-def _cmd_qlra(args) -> str:
-    data = context_from_json(_load_json(args.input))
-    rep = build_representation(data)
-    return json.dumps(_sig12(representation_to_json(rep)), indent=2) + "\n"
+def _cmd_qlra(args) -> dict:
+    data = validate_context_data(_load_json(args.input))
+    return representation_to_json(build_representation(data))
 
 
-def _cmd_average(args) -> str:
+def _cmd_average(args) -> dict:
     spec = game.game_from_json(_load_json(args.game))
     contexts = _load_contexts(args.context)
     averages = game.total_averages(spec, contexts)
@@ -154,59 +160,49 @@ def _cmd_average(args) -> str:
         ql = game.ql_average(build_representation(contexts), spec)
         out["ql_parts"] = list(ql.part_averages)
         out["ql_totals"] = ql.totals
-    return json.dumps(_sig12(out), indent=2) + "\n"
+    return out
 
 
 def _cmd_bell(args) -> str:
     if (args.thetas is None) == (args.grid is None):
         raise ValidationError("pass exactly one of --thetas or --grid")
     if args.thetas is not None:
-        t1, t2, t3 = _parse_thetas(args.thetas)
-        report = classicality.bell_check(classicality.spin_system(t1, t2, t3))
-        rows = [
-            {
-                "theta1": t1, "theta2": t2, "theta3": t3,
-                "cov_ab": report.cov_ab, "cov_bc": report.cov_bc,
-                "cov_ca": report.cov_ca, "lhs": report.lhs, "rhs": report.rhs,
-                "violated": report.violated, "lp_feasible": report.lp_feasible,
-            }
-        ]
+        thetas = _parse_thetas(args.thetas)
+        report = classicality.bell_check(classicality.spin_system(*thetas))
+        fields = tuple(getattr(report, c) for c in CSV_COLUMNS[3:])
+        rows = [dict(zip(CSV_COLUMNS, thetas + fields))]
     else:
         rows = classicality.bell_scan(args.grid)
     return _csv_text(rows)
 
 
-def _cmd_feasibility(args) -> str:
+def _cmd_feasibility(args) -> dict:
     if (args.input is None) == (args.thetas is None):
         raise ValidationError("pass exactly one of --input or --thetas")
     if args.thetas is not None:
-        t1, t2, t3 = _parse_thetas(args.thetas)
-        system = classicality.spin_system(t1, t2, t3)
+        system = classicality.spin_system(*_parse_thetas(args.thetas))
     else:
         system = _system_from_json(_load_json(args.input))
     result = classicality.joint_feasibility(system)
     out = {"feasible": result.feasible, "witness": None}
     if result.witness is not None:
-        alphabet = system.alphabet
-        out["witness"] = {
-            f"{alphabet[i]}{alphabet[j]}{alphabet[l]}": float(result.witness[i, j, l])
-            for i in range(len(alphabet))
-            for j in range(len(alphabet))
-            for l in range(len(alphabet))
-        }
-    return json.dumps(_sig12(out), indent=2) + "\n"
+        out["witness"] = dict(zip(
+            map("".join, itertools.product(system.alphabet, repeat=3)),
+            result.witness.ravel().tolist(),
+        ))
+    return out
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> dict:
     spec = game.game_from_json(_load_json(args.game))
     contexts = _load_contexts(args.context)
     report = montecarlo.simulate_game(
         spec, contexts, trials=args.trials, seed=args.seed, partitions=args.partitions
     )
-    return json.dumps(_sig12(montecarlo.report_to_json(report)), indent=2) + "\n"
+    return montecarlo.report_to_json(report)
 
 
-def _cmd_estimate(args) -> str:
+def _cmd_estimate(args) -> dict:
     if not (math.isfinite(args.window) and 0.0 < args.window <= 1.0):
         raise ValidationError(f"--window must lie in (0, 1], got {args.window!r}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
@@ -228,7 +224,7 @@ def _cmd_estimate(args) -> str:
             "max_tail_oscillation": report.max_tail_oscillation,
             "stabilized": report.stabilized,
         }
-    return json.dumps(_sig12(out), indent=2) + "\n"
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,21 +290,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = args.func(args)
-    except DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.output:
-        try:
+        payload = _render(args.func(args))
+        if args.output:
             Path(args.output).write_text(payload)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(payload)
+        else:
+            sys.stdout.write(payload)
+            sys.stdout.flush()
+    except (*DOMAIN_ERRORS, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc, DOMAIN_ERRORS) else 2
     return 0
 
 

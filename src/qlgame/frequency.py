@@ -188,7 +188,6 @@ def conditional_frequencies(
     pairs: Sequence[tuple[str, str]],
     given: str,
     alphabet: tuple[str, ...] = ALPHABET,
-    context_tag: str = "C",
 ) -> Distribution:
     """Transition-frequency estimate from a paired (condition, result) sequence.
 
@@ -198,12 +197,10 @@ def conditional_frequencies(
     selected = [result for condition, result in pairs if condition == given]
     if not selected:
         raise ValidationError(f"no pair has condition {given!r}")
-    return estimate_frequencies(
-        TrialSequence(selected, context_tag=f"{context_tag}_{given}"), alphabet
-    )
+    return estimate_frequencies(TrialSequence(selected), alphabet)
 
 
-def read_sequence(source, context_tag: str = "C") -> TrialSequence:
+def read_sequence(source) -> TrialSequence:
     """Read a plain-text sequence: one outcome label per line, blanks skipped.
 
     A path is read as UTF-8; its line list is freed before the labels are coded.
@@ -212,4 +209,4 @@ def read_sequence(source, context_tag: str = "C") -> TrialSequence:
         source = Path(source).read_text(encoding="utf-8").splitlines()
     labels = list(filter(None, map(str.strip, source)))
     del source
-    return TrialSequence(labels, context_tag=context_tag)
+    return TrialSequence(labels)

@@ -9,7 +9,6 @@ from squared inner products.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -380,8 +379,6 @@ def _payoffs_from_json(k: int, payoffs) -> dict[str, PayoffMatrix]:
 
 
 def game_from_json(obj) -> GameSpec:
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
     try:
         players = obj["players"]
         if not isinstance(players, (list, tuple)) or not all(isinstance(x, str) for x in players):

@@ -58,9 +58,12 @@ def stream_rng(seed: int, stream_id: str, partition: int = 0) -> np.random.Gener
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
+    partition = _integer(partition, "partition")
+    if partition < 0:
+        raise ValidationError("partition must be a nonnegative integer")
     digest = hashlib.sha256(stream_id.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return np.random.default_rng([seed, *words, int(partition)])
+    return np.random.default_rng([seed, *words, partition])
 
 
 def _draw_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -8,7 +8,6 @@ formats and covariance sign conventions are stable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -221,12 +220,6 @@ def context_to_json(data: ContextData) -> dict:
         "trans_b_given_a": data.trans_b_given_a.rows.tolist(),
         "trans_a_given_b": data.trans_a_given_b.rows.tolist(),
     }
-
-
-def context_from_json(obj) -> ContextData:
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
-    return validate_context_data(obj)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import errno
 import io
+import itertools
 import json
 import math
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
+from qlgame import cli
 from qlgame.cli import main
 from qlgame.probability import PROB_TOL
 
@@ -189,6 +193,21 @@ def test_bell_requires_exactly_one_mode(capsys):
     assert code == 1
 
 
+def test_bell_thetas_row_matches_grid_row(capsys):
+    # the --thetas row is built from BellReport fields, the grid rows by bell_scan
+    step = math.pi / 6.0
+    code, out, _ = run(capsys, "bell", "--grid", repr(step))
+    assert code == 0
+    grid = out.splitlines()
+    for k1, k2, k3 in [(0, 0, 0), (0, 4, 2), (3, 7, 11), (5, 1, 9)]:
+        thetas = ",".join(repr(k * step) for k in (k1, k2, k3))
+        code, out, _ = run(capsys, "bell", "--thetas", thetas)
+        assert code == 0
+        header, row = out.splitlines()
+        assert header == grid[0]
+        assert row == grid[1 + 144 * k1 + 12 * k2 + k3]
+
+
 def _assert_single_error(code, out, err, out_path):
     assert code == 1
     assert out == ""
@@ -238,7 +257,9 @@ def test_feasibility_from_json(capsys, tmp_path):
     path.write_text(json.dumps(UNIFORM_SYSTEM))
     code, out, _ = run(capsys, "feasibility", "--input", path)
     assert code == 0
-    assert json.loads(out)["feasible"]
+    payload = json.loads(out)
+    assert payload["feasible"]
+    assert list(payload["witness"]) == ["FFF", "FFI", "FIF", "FII", "IFF", "IFI", "IIF", "III"]
 
 
 @pytest.mark.parametrize(
@@ -251,6 +272,33 @@ def test_feasibility_refuses_malformed_array(capsys, tmp_path, key, value):
     code, out, err = run(capsys, "feasibility", "--input", path, "--output", out_path)
     _assert_single_error(code, out, err, out_path)
     assert err.startswith(f"error: {key}: not a numeric array")
+
+
+def test_feasibility_witness_keys_follow_a_three_outcome_alphabet(capsys, tmp_path, monkeypatch):
+    # the system reader only builds two-outcome systems, so a k = 3 one is injected
+    path = tmp_path / "system.json"
+    path.write_text("{}")
+    alphabet = ("F", "I", "X")
+    atoms = np.arange(1.0, 28.0).reshape(3, 3, 3)
+    atoms /= atoms.sum()
+    system = ql.PairwiseSystem(
+        ql.Distribution(atoms.sum(axis=(1, 2)), alphabet),
+        ql.Distribution(atoms.sum(axis=(0, 2)), alphabet),
+        ql.Distribution(atoms.sum(axis=(0, 1)), alphabet),
+        ql.JointTable(("a", "b"), atoms.sum(axis=2), alphabet),
+        ql.JointTable(("b", "c"), atoms.sum(axis=0), alphabet),
+        ql.JointTable(("c", "a"), atoms.sum(axis=1).T, alphabet),
+    )
+    monkeypatch.setattr(cli, "_system_from_json", lambda obj: system)
+    code, out, _ = run(capsys, "feasibility", "--input", path)
+    assert code == 0
+    witness = json.loads(out)["witness"]
+    assert list(witness)[:4] == ["FFF", "FFI", "FFX", "FIF"]
+    expected = ql.joint_feasibility(system).witness
+    cells = itertools.product(enumerate(alphabet), repeat=3)
+    assert list(witness.items()) == [
+        (a + b + c, float(f"{expected[i, j, l]:.12g}")) for (i, a), (j, b), (l, c) in cells
+    ]
 
 
 PAYOFF_ERROR = "error: part 0 payoff 'b': not a numeric array"
@@ -494,6 +542,39 @@ def test_malformed_json_exits_2(capsys, tmp_path):
     path.write_text("{not json")
     code, _, err = run(capsys, "validate", "--input", path)
     assert code == 2
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, write_error=None, flush_error=None):
+        super().__init__()
+        self.write_error, self.flush_error = write_error, flush_error
+
+    def write(self, text):
+        if self.write_error:
+            raise self.write_error
+        return super().write(text)
+
+    def flush(self):
+        if self.flush_error:
+            raise self.flush_error
+
+
+@pytest.mark.parametrize(
+    "stdout",
+    [
+        _FailingStdout(write_error=OSError(errno.ENOSPC, "No space left on device")),
+        _FailingStdout(flush_error=OSError(errno.ENOSPC, "No space left on device")),
+        _FailingStdout(write_error=BrokenPipeError(errno.EPIPE, "Broken pipe")),
+        _FailingStdout(flush_error=BrokenPipeError(errno.EPIPE, "Broken pipe")),
+    ],
+    ids=["write-enospc", "flush-enospc", "write-epipe", "flush-epipe"],
+)
+def test_failed_stdout_write_exits_2(capsys, monkeypatch, d1_file, stdout):
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["validate", "--input", str(d1_file)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [f"error: {stdout.write_error or stdout.flush_error}"]
 
 
 @pytest.mark.parametrize(

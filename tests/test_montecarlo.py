@@ -386,3 +386,23 @@ def test_simulation_accepts_numpy_integers(d1):
         spec, d1, trials=np.int64(1000), seed=np.uint32(5), partitions=np.int16(3)
     )
     assert json.dumps(report_to_json(typed)) == json.dumps(report_to_json(plain))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (1.5, "partition must be an integer, got 1.5"),
+        (True, "partition must be an integer, got True"),
+        (-1, "partition must be a nonnegative integer"),
+    ],
+    ids=["float", "bool", "negative"],
+)
+def test_stream_rng_refuses_bad_partitions(value, message):
+    with pytest.raises(ql.ValidationError) as info:
+        ql.stream_rng(1, "x", value)
+    assert str(info.value) == message
+
+
+def test_stream_rng_accepts_numpy_partitions():
+    typed = ql.stream_rng(1, "x", np.int16(1)).random(4)
+    assert np.array_equal(typed, ql.stream_rng(1, "x", 1).random(4))

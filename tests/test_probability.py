@@ -184,7 +184,7 @@ def test_uniform_marginals_with_r1_are_reversible(q):
 
 
 def test_context_json_round_trip(d1):
-    again = ql.context_from_json(ql.context_to_json(d1))
+    again = ql.validate_context_data(ql.context_to_json(d1))
     assert np.array_equal(again.marginal_a.probs, d1.marginal_a.probs)
     assert np.array_equal(again.trans_b_given_a.rows, d1.trans_b_given_a.rows)
 
