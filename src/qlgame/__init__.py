@@ -58,7 +58,6 @@ from .game import (
     game_to_json,
     interference_average,
     multidim_average,
-    part_average,
     ql_average,
     three_player_representations,
     total_averages,

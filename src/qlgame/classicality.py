@@ -131,27 +131,17 @@ class PairwiseSystem:
         return self.marginal_a.alphabet
 
 
-def spin_system(
-    theta_a: float,
-    theta_b: float,
-    theta_c: float,
-    marginal_a: Distribution | None = None,
-    marginal_b: Distribution | None = None,
-    marginal_c: Distribution | None = None,
-) -> PairwiseSystem:
-    """Pairwise system of three angle-labelled observables with the
-    cos^2-half-angle transitions; marginals default to uniform."""
+def spin_system(theta_a: float, theta_b: float, theta_c: float) -> PairwiseSystem:
+    """Pairwise system of three angle-labelled observables with uniform
+    marginals and the cos^2-half-angle transitions."""
     uniform = uniform_distribution()
-    ma = marginal_a or uniform
-    mb = marginal_b or uniform
-    mc = marginal_c or uniform
     return PairwiseSystem(
-        marginal_a=ma,
-        marginal_b=mb,
-        marginal_c=mc,
-        joint_ab=joint_distribution(ma, spin_transition_matrix(theta_a, theta_b), ("a", "b")),
-        joint_bc=joint_distribution(mb, spin_transition_matrix(theta_b, theta_c), ("b", "c")),
-        joint_ca=joint_distribution(mc, spin_transition_matrix(theta_c, theta_a), ("c", "a")),
+        marginal_a=uniform,
+        marginal_b=uniform,
+        marginal_c=uniform,
+        joint_ab=joint_distribution(uniform, spin_transition_matrix(theta_a, theta_b), ("a", "b")),
+        joint_bc=joint_distribution(uniform, spin_transition_matrix(theta_b, theta_c), ("b", "c")),
+        joint_ca=joint_distribution(uniform, spin_transition_matrix(theta_c, theta_a), ("c", "a")),
     )
 
 

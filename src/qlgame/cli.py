@@ -6,7 +6,8 @@ Exit status: 0 on success, 1 on a domain error (validation failure,
 hyperbolic context, ...), 2 on usage or I/O errors, including input files
 that are not UTF-8 or not JSON and a failed write to stdout or
 ``--output``.  Every failure prints one ``error:`` line and no traceback.
-Output files are only written after the computation succeeds.
+Output files are only written after the computation succeeds, and a
+failed write leaves the previous file in place.
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ import argparse
 import itertools
 import json
 import math
+import os
+import stat
 import sys
+import uuid
 from pathlib import Path
+from typing import Mapping
 
 from . import classicality, frequency, game, montecarlo
 from .probability import (
     Distribution,
     JointTable,
     ValidationError,
+    _document_alphabet,
     _named,
     check_reversibility,
     context_to_json,
@@ -106,14 +112,17 @@ def _parse_thetas(text: str) -> tuple[float, float, float]:
 
 
 def _system_from_json(obj) -> classicality.PairwiseSystem:
+    if not isinstance(obj, Mapping):
+        raise ValidationError(f"pairwise system must be a mapping, got {type(obj).__name__}")
+    alphabet = _document_alphabet(obj)
     try:
         return classicality.PairwiseSystem(
-            marginal_a=_named("marginal_a", Distribution, obj["marginal_a"]),
-            marginal_b=_named("marginal_b", Distribution, obj["marginal_b"]),
-            marginal_c=_named("marginal_c", Distribution, obj["marginal_c"]),
-            joint_ab=_named("joint_ab", JointTable, ("a", "b"), obj["joint_ab"]),
-            joint_bc=_named("joint_bc", JointTable, ("b", "c"), obj["joint_bc"]),
-            joint_ca=_named("joint_ca", JointTable, ("c", "a"), obj["joint_ca"]),
+            marginal_a=_named("marginal_a", Distribution, obj["marginal_a"], alphabet),
+            marginal_b=_named("marginal_b", Distribution, obj["marginal_b"], alphabet),
+            marginal_c=_named("marginal_c", Distribution, obj["marginal_c"], alphabet),
+            joint_ab=_named("joint_ab", JointTable, ("a", "b"), obj["joint_ab"], alphabet),
+            joint_bc=_named("joint_bc", JointTable, ("b", "c"), obj["joint_bc"], alphabet),
+            joint_ca=_named("joint_ca", JointTable, ("c", "a"), obj["joint_ca"], alphabet),
         )
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed pairwise system: {exc}") from exc
@@ -283,6 +292,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_output(path: Path, payload: str) -> None:
+    """Write ``payload`` to ``path`` whole or not at all.
+
+    The text goes to a new file in the target's directory, created with the
+    mode ``open(path, "w")`` would give, and replaces the target only once it
+    is complete; on any failure the new file is removed.  A target that
+    exists and is not a regular file (a FIFO, ``/dev/stdout``) is written
+    directly.
+    """
+    if path.exists() and not path.is_file():
+        path.write_text(payload)
+        return
+    target = path.resolve()  # a symlink keeps pointing at the new file
+    temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if target.exists():
+            os.fchmod(fd, stat.S_IMODE(target.stat().st_mode))
+        with open(fd, "w") as out:
+            out.write(payload)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -292,7 +327,7 @@ def main(argv=None) -> int:
     try:
         payload = _render(args.func(args))
         if args.output:
-            Path(args.output).write_text(payload)
+            _write_output(Path(args.output), payload)
         else:
             sys.stdout.write(payload)
             sys.stdout.flush()

@@ -7,6 +7,7 @@ largest oscillation of the running frequencies over a trailing window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -168,6 +169,8 @@ def stabilization_report(
     """
     if not 0.0 < window_fraction <= 1.0:
         raise ValidationError("window_fraction must lie in (0, 1]")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
     n = len(seq)
     if n < 2.0 / window_fraction:
         raise ValidationError(

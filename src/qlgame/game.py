@@ -18,7 +18,6 @@ import numpy as np
 from .hilbert import born_probability
 from .probability import (
     ContextData,
-    JointTable,
     ValidationError,
     _frozen,
     _named,
@@ -138,11 +137,6 @@ def _weighted(payoff: PayoffMatrix, table: np.ndarray, axis=None):
             f"payoff shape {payoff.entries.shape} does not match joint {table.shape}"
         )
     return (payoff.entries * table).sum(axis=axis)
-
-
-def part_average(joint: JointTable, payoff: PayoffMatrix) -> float:
-    """Payoff-weighted sum ``sum_{i,j} h[i, j] p(first=i, second=j)``."""
-    return float(_weighted(payoff, joint.entries))
 
 
 def _averages(spec: GameSpec, tables) -> GameAverages:

@@ -28,10 +28,9 @@ from .game import (
     _born_game,
     normalize_contexts,
     part_statistics,
-    total_averages,
 )
 from .hilbert import OrthonormalBasis
-from .probability import Distribution, JointTable, ValidationError
+from .probability import Distribution, JointTable, TransitionMatrix, ValidationError
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,7 @@ def _pvals(probs: np.ndarray) -> np.ndarray:
 
 
 def _simulate_part_counts(
-    label: str,
-    chooser_probs: np.ndarray,
-    row_probs: np.ndarray,
-    outcome_tags: tuple[str, ...],
-    seed: int,
-    sizes: list[int],
+    label: str, marginal: Distribution, trans: TransitionMatrix, seed: int, sizes: list[int]
 ) -> np.ndarray:
     """Counts[chooser, answer] over all partitions, merged in fixed order.
 
@@ -161,8 +155,8 @@ def _simulate_part_counts(
     This has the law of the sequential generators applied trial by trial,
     at O(n²) work per partition whatever the partition's size.
     """
-    n = len(chooser_probs)
-    chooser_pvals = _pvals(chooser_probs)
+    n = len(marginal.alphabet)
+    chooser_pvals = _pvals(marginal.probs)
     counts = np.zeros((n, n), dtype=np.int64)
     for partition, size in enumerate(sizes):
         chooser_rng = stream_rng(seed, f"{label}:chooser", partition)
@@ -171,8 +165,8 @@ def _simulate_part_counts(
             m = int(chosen[alpha])
             if m == 0:
                 continue
-            answer_rng = stream_rng(seed, f"{label}:answer|{outcome_tags[alpha]}", partition)
-            counts[alpha] += answer_rng.multinomial(m, _pvals(row_probs[alpha]))
+            answer_rng = stream_rng(seed, f"{label}:answer|{marginal.alphabet[alpha]}", partition)
+            counts[alpha] += answer_rng.multinomial(m, _pvals(trans.rows[alpha]))
     return counts
 
 
@@ -189,31 +183,33 @@ def simulate_game(
     the analytic averages."""
     pair_contexts = normalize_contexts(spec, contexts)
     sizes = _partition_sizes(trials, partitions)
-    analytic = total_averages(spec, contexts)
+    looked_up = []
 
-    part_labels = []
-    part_counts = []
-    joints = []
-    for k, part in enumerate(spec.parts):
-        marginal, trans = part_statistics(part, pair_contexts)
-        label = f"part{k}:{part.chooser}>{part.tester}"
-        counts = _simulate_part_counts(
-            label, marginal.probs, trans.rows, marginal.alphabet, seed, sizes
-        )
-        freq = counts / trials
-        part_labels.append((part.chooser, part.tester))
-        part_counts.append(counts)
-        joints.append(
-            JointTable((part.chooser, part.tester), freq, marginal.alphabet)
-        )
-    empirical = _averages(spec, [joint.entries for joint in joints])
+    def analytic_tables():
+        # one lookup per part, made as each part is averaged so that
+        # refusals keep their part order
+        for part in spec.parts:
+            marginal, trans = part_statistics(part, pair_contexts)
+            looked_up.append((part, marginal, trans))
+            yield marginal.probs[:, None] * trans.rows
+
+    analytic = _averages(spec, analytic_tables())
+    part_counts = tuple(
+        _simulate_part_counts(f"part{k}:{part.chooser}>{part.tester}", m, t, seed, sizes)
+        for k, (part, m, t) in enumerate(looked_up)
+    )
+    joints = tuple(
+        JointTable((part.chooser, part.tester), counts / trials, marginal.alphabet)
+        for (part, marginal, _), counts in zip(looked_up, part_counts)
+    )
+    empirical = _averages(spec, (joint.entries for joint in joints))
     return SimulationReport(
         trials=int(trials),
         seed=int(seed),
         partitions=int(partitions),
-        part_labels=tuple(part_labels),
-        part_counts=tuple(part_counts),
-        empirical_joints=tuple(joints),
+        part_labels=tuple((part.chooser, part.tester) for part in spec.parts),
+        part_counts=part_counts,
+        empirical_joints=joints,
         empirical_averages=empirical,
         analytic_averages=analytic,
         max_deviation=_deviation(empirical, analytic),

@@ -189,6 +189,15 @@ class ContextData:
         return self.marginal_a.alphabet
 
 
+def _document_alphabet(raw: Mapping) -> tuple[str, ...]:
+    """The optional ``alphabet`` entry of a mapping read from a file:
+    distinct string labels, :data:`ALPHABET` when it is absent."""
+    alphabet = raw.get("alphabet", ALPHABET)
+    if not isinstance(alphabet, (list, tuple)) or not all(isinstance(x, str) for x in alphabet):
+        raise ValidationError(f"alphabet must be a list of string labels, got {alphabet!r}")
+    return _labels(alphabet)
+
+
 _CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")
 
 
@@ -203,10 +212,7 @@ def validate_context_data(raw) -> ContextData:
     missing = [k for k in _CONTEXT_KEYS if k not in raw]
     if missing:
         raise ValidationError(f"missing context component(s): {', '.join(missing)}")
-    alphabet = raw.get("alphabet", ALPHABET)
-    if not isinstance(alphabet, (list, tuple)) or not all(isinstance(x, str) for x in alphabet):
-        raise ValidationError(f"alphabet must be a list of string labels, got {alphabet!r}")
-    alphabet = _labels(alphabet)
+    alphabet = _document_alphabet(raw)
     kinds = (Distribution, Distribution, TransitionMatrix, TransitionMatrix)
     return ContextData(
         **{key: _named(key, kind, raw[key], alphabet) for key, kind in zip(_CONTEXT_KEYS, kinds)}

@@ -1,6 +1,7 @@
 """Shared fixtures-as-functions: canonical contexts, payoff specs, and the
 seeded random-context generator used by property and acceptance tests."""
 
+import math
 import re
 import warnings
 
@@ -224,6 +225,8 @@ def reference_stabilization(outcomes, window_fraction, tol, alphabet):
     full running table, with the refusals of ``stabilization_report``."""
     if not 0.0 < window_fraction <= 1.0:
         raise ql.ValidationError("window_fraction must lie in (0, 1]")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ql.ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
     n = len(outcomes)
     if n < 2.0 / window_fraction:
         raise ql.ValidationError(

@@ -3,6 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
+import resource
+import stat
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +18,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
-from qlgame import cli
 from qlgame.cli import main
 from qlgame.probability import PROB_TOL
 
@@ -274,22 +277,21 @@ def test_feasibility_refuses_malformed_array(capsys, tmp_path, key, value):
     assert err.startswith(f"error: {key}: not a numeric array")
 
 
-def test_feasibility_witness_keys_follow_a_three_outcome_alphabet(capsys, tmp_path, monkeypatch):
-    # the system reader only builds two-outcome systems, so a k = 3 one is injected
-    path = tmp_path / "system.json"
-    path.write_text("{}")
+def test_feasibility_witness_keys_follow_a_three_outcome_alphabet(capsys, tmp_path):
     alphabet = ("F", "I", "X")
     atoms = np.arange(1.0, 28.0).reshape(3, 3, 3)
     atoms /= atoms.sum()
+    tables = {
+        "marginal_a": atoms.sum(axis=(1, 2)), "marginal_b": atoms.sum(axis=(0, 2)),
+        "marginal_c": atoms.sum(axis=(0, 1)), "joint_ab": atoms.sum(axis=2),
+        "joint_bc": atoms.sum(axis=0), "joint_ca": atoms.sum(axis=1).T,
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"alphabet": alphabet, **{k: v.tolist() for k, v in tables.items()}}))
     system = ql.PairwiseSystem(
-        ql.Distribution(atoms.sum(axis=(1, 2)), alphabet),
-        ql.Distribution(atoms.sum(axis=(0, 2)), alphabet),
-        ql.Distribution(atoms.sum(axis=(0, 1)), alphabet),
-        ql.JointTable(("a", "b"), atoms.sum(axis=2), alphabet),
-        ql.JointTable(("b", "c"), atoms.sum(axis=0), alphabet),
-        ql.JointTable(("c", "a"), atoms.sum(axis=1).T, alphabet),
+        *(ql.Distribution(tables[f"marginal_{x}"], alphabet) for x in "abc"),
+        *(ql.JointTable(tuple(xy), tables[f"joint_{xy}"], alphabet) for xy in ("ab", "bc", "ca")),
     )
-    monkeypatch.setattr(cli, "_system_from_json", lambda obj: system)
     code, out, _ = run(capsys, "feasibility", "--input", path)
     assert code == 0
     witness = json.loads(out)["witness"]
@@ -299,6 +301,32 @@ def test_feasibility_witness_keys_follow_a_three_outcome_alphabet(capsys, tmp_pa
     assert list(witness.items()) == [
         (a + b + c, float(f"{expected[i, j, l]:.12g}")) for (i, a), (j, b), (l, c) in cells
     ]
+
+
+def test_feasibility_witness_keys_follow_the_file_alphabet(capsys, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(UNIFORM_SYSTEM, alphabet=["yes", "no"])))
+    code, out, _ = run(capsys, "feasibility", "--input", path)
+    assert code == 0
+    assert list(json.loads(out)["witness"])[:2] == ["yesyesyes", "yesyesno"]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "pairwise system must be a mapping, got list"),
+        (None, "pairwise system must be a mapping, got NoneType"),
+        (dict(UNIFORM_SYSTEM, alphabet=["F", "F"]), "outcome label 'F' is repeated in the alphabet"),
+        (dict(UNIFORM_SYSTEM, alphabet="FI"), "alphabet must be a list of string labels, got 'FI'"),
+    ],
+)
+def test_feasibility_refuses_malformed_system(capsys, tmp_path, doc, message):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    out_path = tmp_path / "out.json"
+    code, out, err = run(capsys, "feasibility", "--input", path, "--output", out_path)
+    _assert_single_error(code, out, err, out_path)
+    assert err == f"error: {message}\n"
 
 
 PAYOFF_ERROR = "error: part 0 payoff 'b': not a numeric array"
@@ -525,6 +553,36 @@ def test_output_file_written_on_success(capsys, d1_file, tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(out_path.read_text())["classification"] == "trigonometric"
+
+
+def test_failed_output_write_keeps_the_previous_file(tmp_path):
+    # the pi/6 grid CSV is ~200 kB; the child process may write at most 10 kB a file
+    out_path = tmp_path / "scan.csv"
+    out_path.write_text("previous\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(ql.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qlgame.cli", "bell", "--grid", repr(math.pi / 6.0),
+         "--output", str(out_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (10_000, 10_000)),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"error: {OSError(errno.EFBIG, os.strerror(errno.EFBIG))}"]
+    assert out_path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scan.csv"]
+
+
+def test_output_through_a_symlink_keeps_link_and_mode(capsys, d1_file, tmp_path):
+    target = tmp_path / "rep.json"
+    target.write_text("previous\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    code, out, _ = run(capsys, "qlra", "--input", d1_file, "--output", link)
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert json.loads(target.read_text())["classification"] == "trigonometric"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.json", "link.json", "rep.json"]
 
 
 def test_missing_file_exits_2(capsys):

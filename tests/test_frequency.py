@@ -1,3 +1,4 @@
+import math
 import tempfile
 import time
 from pathlib import Path
@@ -74,6 +75,14 @@ def test_stabilization_too_short_errors():
 def test_stabilization_bad_window_errors():
     with pytest.raises(ql.ValidationError, match="window_fraction"):
         ql.stabilization_report(ql.TrialSequence(("F",) * 10), window_fraction=1.5)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+def test_stabilization_bad_tol_errors(tol):
+    seq = ql.TrialSequence(("F", "I") * 10)
+    with pytest.raises(ql.ValidationError) as info:
+        ql.stabilization_report(seq, window_fraction=0.5, tol=tol)
+    assert str(info.value) == f"tol must be finite and nonnegative, got {tol!r}"
 
 
 def test_running_frequencies_prefixes():

@@ -21,22 +21,6 @@ def spin_identification_discrepancy(delta: float) -> float:
     return math.sqrt(2.0 - c - s)
 
 
-def test_part_average_d1(d1):
-    joint = ql.joint_distribution(d1.marginal_a, d1.trans_b_given_a)
-    assert ql.part_average(joint, MATCH) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_part_average_uniform_joint_is_mean():
-    joint = ql.JointTable(("a", "b"), np.full((2, 2), 0.25))
-    h = ql.PayoffMatrix([[4.0, -2.0], [1.0, 3.0]])
-    assert ql.part_average(joint, h) == pytest.approx(np.mean(h.entries))
-
-
-def test_part_average_zero_payoff(d1):
-    joint = ql.joint_distribution(d1.marginal_a, d1.trans_b_given_a)
-    assert ql.part_average(joint, ql.PayoffMatrix(np.zeros((2, 2)))) == 0.0
-
-
 def test_total_averages_d1_zero_sum(d1):
     spec = helpers.zero_sum_spec()
     averages = ql.total_averages(spec, d1)

@@ -7,6 +7,7 @@ import pytest
 
 import qlgame as ql
 import helpers
+from qlgame.game import part_statistics
 from qlgame.montecarlo import report_to_json
 
 
@@ -123,6 +124,35 @@ def test_simulate_game_missing_context(d1):
     spec = helpers.three_player_spin_spec()
     with pytest.raises(ql.ValidationError, match="no transition data"):
         ql.simulate_game(spec, {("alice", "bob"): d1}, trials=10, seed=1)
+
+
+def test_simulate_game_refuses_parts_in_order(d1):
+    # part 1 pays a wrong-shaped matrix and part 2 has no context: part 1 is refused first
+    spec = ql.GameSpec(
+        ("alice", "bob", "cecilia"),
+        (
+            ql.GamePart("alice", "bob", {"bob": ql.PayoffMatrix(np.zeros((3, 3)))}),
+            ql.GamePart("bob", "cecilia", {"cecilia": helpers.MATCH}),
+        ),
+    )
+    with pytest.raises(ql.ValidationError) as info:
+        ql.simulate_game(spec, {("alice", "bob"): d1}, trials=10, seed=1)
+    assert str(info.value) == "payoff shape (3, 3) does not match joint (2, 2)"
+
+
+def test_simulate_game_looks_up_each_part_once(monkeypatch):
+    contexts = helpers.spin_pair_contexts(0.0, 1.0, 2.0, names=("alice", "bob", "cecilia"))
+    spec = helpers.three_player_spin_spec()
+    calls = []
+
+    def counted(part, pair_contexts):
+        calls.append((part.chooser, part.tester))
+        return part_statistics(part, pair_contexts)
+
+    for module in (ql.game, ql.montecarlo):
+        monkeypatch.setattr(module, "part_statistics", counted)
+    ql.simulate_game(spec, contexts, trials=100, seed=1)
+    assert calls == [(part.chooser, part.tester) for part in spec.parts]
 
 
 def test_frequency_agreement_with_generator(d1):

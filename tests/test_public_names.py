@@ -4,7 +4,8 @@ import qlgame
 
 # Every public name of the package, sorted. Adding or deleting one is a
 # deliberate change to this list. Deleted so far: context_from_json (an
-# alias of validate_context_data once its text branch had no caller).
+# alias of validate_context_data once its text branch had no caller) and
+# part_average (every game average goes through total_averages' kernel).
 PUBLIC_NAMES = [
     "ALPHABET", "BayesConsistencyReport", "BellReport", "ContextData", "Distribution",
     "FeasibilityResult", "GameAverages", "GamePart", "GameSpec", "GeneratorSpec",
@@ -18,7 +19,7 @@ PUBLIC_NAMES = [
     "conditional_frequencies", "context_to_json", "covariance", "delta_basis",
     "estimate_frequencies", "expand_in_basis", "game_from_json", "game_to_json",
     "inner_product", "interference_average", "interference_coefficients",
-    "joint_distribution", "joint_feasibility", "multidim_average", "part_average",
+    "joint_distribution", "joint_feasibility", "multidim_average",
     "ql_average", "read_sequence", "reconstruct_data", "report_to_json",
     "representation_to_json", "running_frequencies", "sample_outcomes", "simulate_game",
     "simulate_multidim", "spin_system", "spin_transition_matrix", "stabilization_report",
