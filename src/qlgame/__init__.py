@@ -55,7 +55,6 @@ from .game import (
     PayoffMatrix,
     ThreePlayerReport,
     game_from_json,
-    game_to_json,
     interference_average,
     multidim_average,
     ql_average,

@@ -21,7 +21,6 @@ import stat
 import sys
 import uuid
 from pathlib import Path
-from typing import Mapping
 
 from . import classicality, frequency, game, montecarlo
 from .probability import (
@@ -29,6 +28,10 @@ from .probability import (
     JointTable,
     ValidationError,
     _document_alphabet,
+    _field,
+    _list,
+    _mapping,
+    _name,
     _named,
     check_reversibility,
     context_to_json,
@@ -64,26 +67,21 @@ def _load_json(path: str):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
-def _load_contexts(path: str):
-    """Either a single context object or {"pairs": [{chooser, tester, context}]}."""
-    obj = _load_json(path)
+def _load_game(args):
+    """The --game spec and its --context: one context or {"pairs": [{chooser, tester, context}]}."""
+    spec = game.game_from_json(_load_json(args.game))
+    obj = _load_json(args.context)
     if not (isinstance(obj, dict) and "pairs" in obj):
-        return validate_context_data(obj)
-    entries = obj["pairs"]
-    if not isinstance(entries, list):
-        raise ValidationError(
-            f"pairs must be a list of pair contexts, got {type(entries).__name__}"
-        )
+        return spec, validate_context_data(obj)
     pairs = {}
-    for entry in entries:
-        try:
-            key = (entry["chooser"], entry["tester"])
-            pairs[key] = _named(
-                f"pair ({key[0]}, {key[1]})", validate_context_data, entry["context"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed pair context entry: {exc}") from exc
-    return pairs
+    for k, entry in enumerate(_list(obj["pairs"], "pairs", "pair contexts")):
+        entry = _mapping(entry, f"pair {k}")
+        key = tuple(_name(entry, x, f"pair {k}") for x in ("chooser", "tester"))
+        name = f"pair ({key[0]}, {key[1]})"
+        if key in pairs:
+            raise ValidationError(f"{name} is given twice")
+        pairs[key] = _named(name, validate_context_data, _field(entry, "context", f"pair {k}"))
+    return spec, pairs
 
 
 def _csv_cell(value) -> str:
@@ -112,20 +110,16 @@ def _parse_thetas(text: str) -> tuple[float, float, float]:
 
 
 def _system_from_json(obj) -> classicality.PairwiseSystem:
-    if not isinstance(obj, Mapping):
-        raise ValidationError(f"pairwise system must be a mapping, got {type(obj).__name__}")
-    alphabet = _document_alphabet(obj)
-    try:
-        return classicality.PairwiseSystem(
-            marginal_a=_named("marginal_a", Distribution, obj["marginal_a"], alphabet),
-            marginal_b=_named("marginal_b", Distribution, obj["marginal_b"], alphabet),
-            marginal_c=_named("marginal_c", Distribution, obj["marginal_c"], alphabet),
-            joint_ab=_named("joint_ab", JointTable, ("a", "b"), obj["joint_ab"], alphabet),
-            joint_bc=_named("joint_bc", JointTable, ("b", "c"), obj["joint_bc"], alphabet),
-            joint_ca=_named("joint_ca", JointTable, ("c", "a"), obj["joint_ca"], alphabet),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed pairwise system: {exc}") from exc
+    alphabet = _document_alphabet(_mapping(obj, "pairwise system"))
+    marginals = (
+        _named(key, Distribution, _field(obj, key, "pairwise system"), alphabet)
+        for key in ("marginal_a", "marginal_b", "marginal_c")
+    )
+    joints = (
+        _named(key, JointTable, tuple(key[-2:]), _field(obj, key, "pairwise system"), alphabet)
+        for key in ("joint_ab", "joint_bc", "joint_ca")
+    )
+    return classicality.PairwiseSystem(*marginals, *joints)
 
 
 def _render(result) -> str:
@@ -156,8 +150,7 @@ def _cmd_qlra(args) -> dict:
 
 
 def _cmd_average(args) -> dict:
-    spec = game.game_from_json(_load_json(args.game))
-    contexts = _load_contexts(args.context)
+    spec, contexts = _load_game(args)
     averages = game.total_averages(spec, contexts)
     out = {
         "parts": list(averages.part_averages),
@@ -203,8 +196,7 @@ def _cmd_feasibility(args) -> dict:
 
 
 def _cmd_simulate(args) -> dict:
-    spec = game.game_from_json(_load_json(args.game))
-    contexts = _load_contexts(args.context)
+    spec, contexts = _load_game(args)
     report = montecarlo.simulate_game(
         spec, contexts, trials=args.trials, seed=args.seed, partitions=args.partitions
     )
@@ -306,11 +298,10 @@ def _write_output(path: Path, payload: str) -> None:
         return
     target = path.resolve()  # a symlink keeps pointing at the new file
     temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        if target.exists():
-            os.fchmod(fd, stat.S_IMODE(target.stat().st_mode))
-        with open(fd, "w") as out:
+        with open(temp, "x") as out:
+            if target.exists():
+                os.fchmod(out.fileno(), stat.S_IMODE(target.stat().st_mode))
             out.write(payload)
         os.replace(temp, target)
     except BaseException:

@@ -19,7 +19,12 @@ from .hilbert import born_probability
 from .probability import (
     ContextData,
     ValidationError,
+    _field,
+    _flag,
     _frozen,
+    _list,
+    _mapping,
+    _name,
     _named,
     joint_distribution,
 )
@@ -345,50 +350,16 @@ def multidim_average(psi, a_basis, b_basis, payoff_part1, payoff_part2) -> float
     return total_averages(spec, context).totals["b"]
 
 
-def game_to_json(spec: GameSpec) -> dict:
-    return {
-        "players": list(spec.players),
-        "zero_sum": spec.zero_sum,
-        "parts": [
-            {
-                "chooser": part.chooser,
-                "tester": part.tester,
-                "payoffs": {p: m.entries.tolist() for p, m in part.payoffs.items()},
-            }
-            for part in spec.parts
-        ],
-    }
-
-
-def _payoffs_from_json(k: int, payoffs) -> dict[str, PayoffMatrix]:
-    if not isinstance(payoffs, Mapping):
-        raise ValidationError(
-            f"part {k} payoffs must map player names to payoff matrices, "
-            f"got {type(payoffs).__name__}"
-        )
-    return {
-        name: _named(f"part {k} payoff {name!r}", PayoffMatrix, m)
-        for name, m in payoffs.items()
-    }
-
-
 def game_from_json(obj) -> GameSpec:
-    try:
-        players = obj["players"]
-        if not isinstance(players, (list, tuple)) or not all(isinstance(x, str) for x in players):
-            raise ValidationError(f"players must be a list of names, got {players!r}")
-        parts = tuple(
-            GamePart(
-                chooser=p["chooser"],
-                tester=p["tester"],
-                payoffs=_payoffs_from_json(k, p["payoffs"]),
-            )
-            for k, p in enumerate(obj["parts"])
-        )
-        return GameSpec(
-            players=tuple(players),
-            parts=parts,
-            zero_sum=bool(obj.get("zero_sum", False)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed game spec: {exc}") from exc
+    obj = _mapping(obj, "game")
+    players = _list(_field(obj, "players", "game"), "players", "names", str)
+    parts = []
+    for k, part in enumerate(_list(_field(obj, "parts", "game"), "parts", "game parts")):
+        where = f"part {k}"
+        part = _mapping(part, where)
+        chooser, tester = (_name(part, x, where) for x in ("chooser", "tester"))
+        payoffs = _mapping(_field(part, "payoffs", where), f"{where} payoffs")
+        parts.append(GamePart(chooser, tester, {
+            name: _named(f"{where} payoff {name!r}", PayoffMatrix, m) for name, m in payoffs.items()
+        }))
+    return GameSpec(players, parts, _flag(obj.get("zero_sum", False), "zero_sum"))

@@ -189,13 +189,42 @@ class ContextData:
         return self.marginal_a.alphabet
 
 
+# The structure of every input document; each refusal names the document or field.
+def _mapping(value, what: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{what} must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _field(doc: Mapping, key: str, what: str):
+    if key not in doc:
+        raise ValidationError(f"{what} is missing field {key!r}")
+    return doc[key]
+
+
+def _list(value, what: str, of: str, item=object) -> list | tuple:
+    if isinstance(value, (list, tuple)) and all(isinstance(x, item) for x in value):
+        return value
+    got = repr(value) if isinstance(value, (str, list, tuple)) else type(value).__name__
+    raise ValidationError(f"{what} must be a list of {of}, got {got}")
+
+
+def _flag(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _name(doc: Mapping, key: str, what: str) -> str:
+    if not isinstance(_field(doc, key, what), str):
+        raise ValidationError(f"{what} {key} must be a string, got {doc[key]!r}")
+    return doc[key]
+
+
 def _document_alphabet(raw: Mapping) -> tuple[str, ...]:
     """The optional ``alphabet`` entry of a mapping read from a file:
     distinct string labels, :data:`ALPHABET` when it is absent."""
-    alphabet = raw.get("alphabet", ALPHABET)
-    if not isinstance(alphabet, (list, tuple)) or not all(isinstance(x, str) for x in alphabet):
-        raise ValidationError(f"alphabet must be a list of string labels, got {alphabet!r}")
-    return _labels(alphabet)
+    return _labels(_list(raw.get("alphabet", ALPHABET), "alphabet", "string labels", str))
 
 
 _CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")
@@ -207,16 +236,10 @@ def validate_context_data(raw) -> ContextData:
     ``raw`` has keys ``marginal_a``, ``marginal_b``, ``trans_b_given_a``,
     ``trans_a_given_b`` (arrays / nested lists) and optionally ``alphabet``.
     """
-    if not isinstance(raw, Mapping):
-        raise ValidationError("context data must be a mapping")
-    missing = [k for k in _CONTEXT_KEYS if k not in raw]
-    if missing:
-        raise ValidationError(f"missing context component(s): {', '.join(missing)}")
-    alphabet = _document_alphabet(raw)
+    raw = _mapping(raw, "context data")
+    tables = [_field(raw, key, "context data") for key in _CONTEXT_KEYS]
     kinds = (Distribution, Distribution, TransitionMatrix, TransitionMatrix)
-    return ContextData(
-        **{key: _named(key, kind, raw[key], alphabet) for key, kind in zip(_CONTEXT_KEYS, kinds)}
-    )
+    return ContextData(*map(_named, _CONTEXT_KEYS, kinds, tables, [_document_alphabet(raw)] * 4))
 
 
 def context_to_json(data: ContextData) -> dict:

@@ -98,6 +98,22 @@ def zero_sum_spec(players=("alice", "bob")) -> ql.GameSpec:
     )
 
 
+def game_to_json(spec: ql.GameSpec) -> dict:
+    """The game file of ``spec``, the document ``game_from_json`` reads."""
+    return {
+        "players": list(spec.players),
+        "zero_sum": spec.zero_sum,
+        "parts": [
+            {
+                "chooser": part.chooser,
+                "tester": part.tester,
+                "payoffs": {p: m.entries.tolist() for p, m in part.payoffs.items()},
+            }
+            for part in spec.parts
+        ],
+    }
+
+
 def random_zero_sum_symmetric_spec(rng: np.random.Generator, players=("alice", "bob")) -> ql.GameSpec:
     """Zero-sum game whose part-2 payoffs mirror part 1 cell by cell."""
     h = rng.uniform(-2.0, 2.0, size=(2, 2))

@@ -34,7 +34,7 @@ def d1_file(tmp_path):
 @pytest.fixture
 def game_file(tmp_path):
     path = tmp_path / "game.json"
-    path.write_text(json.dumps(ql.game_to_json(helpers.zero_sum_spec())))
+    path.write_text(json.dumps(helpers.game_to_json(helpers.zero_sum_spec())))
     return path
 
 
@@ -318,6 +318,10 @@ def test_feasibility_witness_keys_follow_the_file_alphabet(capsys, tmp_path):
         (None, "pairwise system must be a mapping, got NoneType"),
         (dict(UNIFORM_SYSTEM, alphabet=["F", "F"]), "outcome label 'F' is repeated in the alphabet"),
         (dict(UNIFORM_SYSTEM, alphabet="FI"), "alphabet must be a list of string labels, got 'FI'"),
+        (
+            {k: v for k, v in UNIFORM_SYSTEM.items() if k != "joint_ca"},
+            "pairwise system is missing field 'joint_ca'",
+        ),
     ],
 )
 def test_feasibility_refuses_malformed_system(capsys, tmp_path, doc, message):
@@ -332,6 +336,14 @@ def test_feasibility_refuses_malformed_system(capsys, tmp_path, doc, message):
 PAYOFF_ERROR = "error: part 0 payoff 'b': not a numeric array"
 
 
+def _game_doc():
+    return helpers.game_to_json(helpers.zero_sum_spec(players=("a", "b")))
+
+
+def _drop(mapping, key):
+    del mapping[key]
+
+
 @pytest.mark.parametrize("command", ["average", "simulate"])
 @pytest.mark.parametrize(
     "mutate, message",
@@ -341,14 +353,52 @@ PAYOFF_ERROR = "error: part 0 payoff 'b': not a numeric array"
         (lambda doc: doc.update(players="ab"), "error: players must be a list of names, got 'ab'"),
         (
             lambda doc: doc["parts"][0].update(payoffs=[[1, -1], [-1, 1]]),
-            "error: part 0 payoffs must map player names to payoff matrices, got list",
+            "error: part 0 payoffs must be a mapping, got list",
+        ),
+        # the game is zero-sum, so a flag read as true would pass
+        (
+            lambda doc: doc.update(zero_sum="false"),
+            "error: zero_sum must be true or false, got 'false'",
+        ),
+        (lambda doc: doc.update(zero_sum=1), "error: zero_sum must be true or false, got 1"),
+        (lambda doc: [doc], "error: game must be a mapping, got list"),
+        (
+            lambda doc: doc.update(parts={"x": 1}),
+            "error: parts must be a list of game parts, got dict",
+        ),
+        (
+            lambda doc: doc.update(parts="ab"),
+            "error: parts must be a list of game parts, got 'ab'",
+        ),
+        (lambda doc: doc.update(parts=[7]), "error: part 0 must be a mapping, got int"),
+        (lambda doc: _drop(doc, "parts"), "error: game is missing field 'parts'"),
+        (lambda doc: _drop(doc, "players"), "error: game is missing field 'players'"),
+        (lambda doc: _drop(doc["parts"][0], "chooser"), "error: part 0 is missing field 'chooser'"),
+        (lambda doc: _drop(doc["parts"][1], "tester"), "error: part 1 is missing field 'tester'"),
+        (lambda doc: _drop(doc["parts"][1], "payoffs"), "error: part 1 is missing field 'payoffs'"),
+        (
+            lambda doc: doc["parts"][0].update(chooser=["a"]),
+            "error: part 0 chooser must be a string, got ['a']",
+        ),
+        (
+            lambda doc: doc["parts"][1].update(tester=None),
+            "error: part 1 tester must be a string, got None",
+        ),
+        (
+            lambda doc: doc.update(players=["a", 2]),
+            "error: players must be a list of names, got ['a', 2]",
         ),
     ],
-    ids=["non-numeric-payoff", "ragged-payoff", "players-string", "payoffs-list"],
+    ids=[
+        "non-numeric-payoff", "ragged-payoff", "players-string", "payoffs-list",
+        "zero-sum-string", "zero-sum-number", "game-list", "parts-dict", "parts-string",
+        "part-int", "no-parts", "no-players", "no-chooser", "no-tester", "no-payoffs",
+        "chooser-list", "tester-null", "player-int",
+    ],
 )
 def test_malformed_game_is_a_domain_error(capsys, d1_file, tmp_path, command, mutate, message):
-    doc = ql.game_to_json(helpers.zero_sum_spec(players=("a", "b")))
-    mutate(doc)
+    doc = _game_doc()
+    doc = mutate(doc) or doc  # a mutation that returns a document replaces it
     game_path = tmp_path / "game.json"
     game_path.write_text(json.dumps(doc))
     out_path = tmp_path / "out.json"
@@ -366,18 +416,43 @@ def test_malformed_game_is_a_domain_error(capsys, d1_file, tmp_path, command, mu
     "doc, message",
     [
         ({"pairs": 5}, "error: pairs must be a list of pair contexts, got int"),
-        ({"pairs": [5]}, "error: malformed pair context entry: 'int' object is not subscriptable"),
+        ({"pairs": [5]}, "error: pair 0 must be a mapping, got int"),
         (
             {"pairs": [{"chooser": "a", "tester": "b",
                         "context": dict(helpers.D1_RAW, marginal_a=[-1, 2])}]},
             "error: pair (a, b): marginal_a: probabilities must lie in [0, 1], got -1\n",
         ),
+        (
+            {"pairs": [{"chooser": ["a"], "tester": "b", "context": helpers.D1_RAW}]},
+            "error: pair 0 chooser must be a string, got ['a']\n",
+        ),
+        (
+            {"pairs": [{"chooser": "a", "context": helpers.D1_RAW}]},
+            "error: pair 0 is missing field 'tester'\n",
+        ),
+        (
+            {"pairs": [{"chooser": "b", "tester": "a", "context": helpers.D1_RAW},
+                       {"chooser": "a", "tester": "b"}]},
+            "error: pair 1 is missing field 'context'\n",
+        ),
+        (
+            {"pairs": [{"chooser": "a", "tester": "b", "context": [helpers.D1_RAW]}]},
+            "error: pair (a, b): context data must be a mapping, got list\n",
+        ),
+        (
+            {"pairs": [{"chooser": "a", "tester": "b", "context": helpers.D1_RAW},
+                       {"chooser": "b", "tester": "a", "context": helpers.D1_RAW},
+                       {"chooser": "a", "tester": "b",
+                        "context": dict(helpers.D1_RAW, marginal_a=[0.9, 0.1])}]},
+            "error: pair (a, b) is given twice\n",
+        ),
     ],
-    ids=["pairs-int", "entry-int", "bad-pair-context"],
+    ids=["pairs-int", "entry-int", "bad-pair-context", "chooser-list", "no-tester",
+         "no-context", "context-list", "repeated-pair"],
 )
 def test_malformed_pairs_file_is_a_domain_error(capsys, tmp_path, command, doc, message):
     game_path = tmp_path / "game.json"
-    game_path.write_text(json.dumps(ql.game_to_json(helpers.zero_sum_spec(players=("a", "b")))))
+    game_path.write_text(json.dumps(_game_doc()))
     ctx_path = tmp_path / "pairs.json"
     ctx_path.write_text(json.dumps(doc))
     out_path = tmp_path / "out.json"
@@ -441,7 +516,7 @@ def test_simulate_three_player_pairs(capsys, tmp_path):
     ctx_path = tmp_path / "pairs.json"
     ctx_path.write_text(json.dumps(pairs_payload))
     game_path = tmp_path / "game3.json"
-    game_path.write_text(json.dumps(ql.game_to_json(helpers.three_player_spin_spec())))
+    game_path.write_text(json.dumps(helpers.game_to_json(helpers.three_player_spin_spec())))
     code, out, _ = run(
         capsys, "simulate", "--game", game_path, "--context", ctx_path,
         "--trials", "20000", "--seed", "5",
@@ -585,6 +660,24 @@ def test_output_through_a_symlink_keeps_link_and_mode(capsys, d1_file, tmp_path)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.json", "link.json", "rep.json"]
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")
+def test_failed_mode_copy_closes_the_new_file(capsys, monkeypatch, d1_file, tmp_path):
+    out_path = tmp_path / "rep.json"
+    out_path.write_text("previous\n")
+
+    def refuse(fd, mode):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+    monkeypatch.setattr(os, "fchmod", refuse)
+    before = len(os.listdir("/proc/self/fd"))
+    code, out, err = run(capsys, "validate", "--input", d1_file, "--output", out_path)
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {PermissionError(errno.EPERM, os.strerror(errno.EPERM))}"]
+    assert out_path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.json", "rep.json"]
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "qlra", "--input", "/does/not/exist.json")
     assert code == 2
@@ -715,7 +808,7 @@ def test_cli_exit_contract_over_generated_contexts(case):
         ctx = tmp / "ctx.json"
         ctx.write_text(json.dumps(doc))
         game = tmp / "game.json"
-        game.write_text(json.dumps(ql.game_to_json(helpers.zero_sum_spec())))
+        game.write_text(json.dumps(helpers.game_to_json(helpers.zero_sum_spec())))
         for argv in (
             ["validate", "--input", ctx],
             ["qlra", "--input", ctx],
@@ -739,6 +832,125 @@ def test_cli_exit_contract_over_generated_contexts(case):
                 assert code == 1, (argv[0], doc)
             elif argv[0] == "validate":
                 assert code == 0, err
+
+
+NOT_A_MAPPING = st.sampled_from([[], [1], "x", 7, 0.5, True, None])
+NOT_A_LIST = st.sampled_from([{}, {"x": 1}, "ab", 7, True, None])
+NOT_A_NAME = st.sampled_from([["a"], {"a": 1}, 1, None, True])
+NOT_A_FLAG = st.sampled_from(["false", "true", "", 0, 1, 0.5, None, [True]])
+NOT_A_TABLE = st.sampled_from(["x", {"F": 0.5}, None, [["x"]], True])
+
+
+@st.composite
+def broken_documents(draw):
+    """A valid game file, pair file or pairwise system with one structural
+    fault: a wrong top-level type, a missing field, a field of the wrong
+    type, a non-boolean zero_sum, an entry that is not an object, or a
+    repeated pair.  Returns the kind, the document and a text the refusal
+    must contain."""
+    kind = draw(st.sampled_from(["game", "pairs", "system"]))
+    fault = draw(st.sampled_from({
+        "game": ["top", "missing", "type", "entry", "flag"],
+        "pairs": ["top", "missing", "type", "entry", "repeat"],
+        "system": ["top", "missing", "type"],
+    }[kind]))
+    if kind == "system":
+        doc = dict(UNIFORM_SYSTEM)
+        key = draw(st.sampled_from(sorted(doc)))
+        if fault == "top":
+            return kind, draw(NOT_A_MAPPING), "pairwise system must be a mapping"
+        if fault == "missing":
+            del doc[key]
+            return kind, doc, f"pairwise system is missing field {key!r}"
+        if draw(st.booleans()):
+            doc["alphabet"] = draw(st.sampled_from(["FI", 7, None, [1, 2], ["F", None]]))
+            return kind, doc, "alphabet must be a list of string labels"
+        doc[key] = draw(NOT_A_TABLE)
+        return kind, doc, f"{key}: "
+    if kind == "pairs":
+        entries = [{"chooser": c, "tester": t, "context": dict(helpers.D1_RAW)}
+                   for c, t in (("a", "b"), ("b", "a"))]
+        k = draw(st.integers(0, 1))
+        where = f"pair {k}"
+        if fault == "top":
+            return kind, {"pairs": draw(NOT_A_LIST)}, "pairs must be a list of pair contexts"
+        if fault == "entry":
+            entries[k] = draw(NOT_A_MAPPING)
+            return kind, {"pairs": entries}, f"{where} must be a mapping"
+        if fault == "repeat":
+            entries.insert(draw(st.integers(0, 2)), dict(entries[k]))
+            pair = "pair (a, b)" if k == 0 else "pair (b, a)"
+            return kind, {"pairs": entries}, f"{pair} is given twice"
+        key = draw(st.sampled_from(["chooser", "tester", "context"]))
+        if fault == "missing":
+            del entries[k][key]
+            return kind, {"pairs": entries}, f"{where} is missing field {key!r}"
+        if key == "context":
+            entries[k]["context"] = draw(NOT_A_MAPPING)
+            pair = "pair (a, b)" if k == 0 else "pair (b, a)"
+            return kind, {"pairs": entries}, f"{pair}: context data must be a mapping"
+        entries[k][key] = draw(NOT_A_NAME)
+        return kind, {"pairs": entries}, f"{where} {key} must be a string"
+    doc = _game_doc()
+    k = draw(st.integers(0, 1))
+    where = f"part {k}"
+    if fault == "top":
+        return kind, draw(NOT_A_MAPPING), "game must be a mapping"
+    if fault == "flag":
+        doc["zero_sum"] = draw(NOT_A_FLAG)
+        return kind, doc, "zero_sum must be true or false"
+    if fault == "entry":
+        doc["parts"][k] = draw(NOT_A_MAPPING)
+        return kind, doc, f"{where} must be a mapping"
+    if fault == "missing":
+        key = draw(st.sampled_from(["players", "parts", "chooser", "tester", "payoffs"]))
+        if key in ("players", "parts"):
+            del doc[key]
+            return kind, doc, f"game is missing field {key!r}"
+        del doc["parts"][k][key]
+        return kind, doc, f"{where} is missing field {key!r}"
+    key = draw(st.sampled_from(["players", "player", "parts", "chooser", "tester", "payoffs"]))
+    if key in ("players", "parts"):
+        doc[key] = draw(NOT_A_LIST)
+        return kind, doc, f"{key} must be a list of"
+    if key == "player":
+        doc["players"][k] = draw(NOT_A_NAME)
+        return kind, doc, "players must be a list of names"
+    if key == "payoffs":
+        doc["parts"][k]["payoffs"] = draw(NOT_A_MAPPING)
+        return kind, doc, f"{where} payoffs must be a mapping"
+    doc["parts"][k][key] = draw(NOT_A_NAME)
+    return kind, doc, f"{where} {key} must be a string"
+
+
+@settings(max_examples=200, deadline=None)
+@given(broken_documents())
+def test_cli_exit_contract_over_broken_documents(case):
+    """Every structural fault in a game file, pair file or pairwise system
+    exits 1 with one error line that names the field, and writes nothing."""
+    kind, doc, names = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "doc.json").write_text(json.dumps(doc))
+        (tmp / "game.json").write_text(json.dumps(_game_doc()))
+        (tmp / "d1.json").write_text(json.dumps(helpers.D1_RAW))
+        game, context = ("doc", "d1") if kind == "game" else ("game", "doc")
+        files = ["--game", tmp / f"{game}.json", "--context", tmp / f"{context}.json"]
+        runs = [["feasibility", "--input", tmp / "doc.json"]] if kind == "system" else [
+            ["average", *files],
+            ["average", "--ql", *files],
+            ["simulate", *files, "--trials", "10", "--seed", "1"],
+        ]
+        for argv in runs:
+            out_path = tmp / "out.json"
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                code = main([str(a) for a in argv + ["--output", out_path]])
+            err = stderr.getvalue()
+            assert (code, stdout.getvalue()) == (1, ""), (argv[0], doc, err)
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+            assert names in err, (names, err)
+            assert not out_path.exists()
 
 
 # Each table within PROB_TOL, but the joint p_a(i) p(b=j|a=i) sums to 1 + 1.6e-12.
@@ -819,7 +1031,7 @@ def test_valid_edge_contexts_pass_every_subcommand(case):
         ctx = tmp / "ctx.json"
         ctx.write_text(json.dumps(doc))
         game = tmp / "game.json"
-        game.write_text(json.dumps(ql.game_to_json(helpers.zero_sum_spec())))
+        game.write_text(json.dumps(helpers.game_to_json(helpers.zero_sum_spec())))
         results = {}
         for argv in (
             ["validate", "--input", ctx],

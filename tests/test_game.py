@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -275,13 +276,24 @@ def test_game_spec_json_round_trip():
     spec = helpers.zero_sum_spec()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ql.PayoffConventionWarning)
-        again = ql.game_from_json(ql.game_to_json(spec))
+        again = ql.game_from_json(helpers.game_to_json(spec))
     assert again.players == spec.players
     assert again.zero_sum
     assert np.array_equal(
         again.parts[0].payoffs["bob"].entries, spec.parts[0].payoffs["bob"].entries
     )
 
+
+@pytest.mark.parametrize("flag", ["false", "", 0, 1, 0.0, None, [True]])
+def test_game_zero_sum_flag_must_be_a_boolean(flag):
+    # not zero-sum, so a flag read as true would refuse it for another reason
+    part = {"chooser": "a", "tester": "b", "payoffs": {"b": [[1, -1], [-1, 1]]}}
+    doc = {"players": ["a", "b"], "parts": [part]}
+    assert not ql.game_from_json(doc).zero_sum
+    assert not ql.game_from_json(dict(doc, zero_sum=False)).zero_sum
+    message = f"^zero_sum must be true or false, got {re.escape(repr(flag))}$"
+    with pytest.raises(ql.ValidationError, match=message):
+        ql.game_from_json(dict(doc, zero_sum=flag))
 
 WRONG_SHAPE = ql.PayoffMatrix(np.zeros((3, 3)))
 

@@ -4,8 +4,9 @@ import qlgame
 
 # Every public name of the package, sorted. Adding or deleting one is a
 # deliberate change to this list. Deleted so far: context_from_json (an
-# alias of validate_context_data once its text branch had no caller) and
-# part_average (every game average goes through total_averages' kernel).
+# alias of validate_context_data once its text branch had no caller),
+# part_average (every game average goes through total_averages' kernel) and
+# game_to_json (only tests wrote game files; it lives in tests/helpers.py).
 PUBLIC_NAMES = [
     "ALPHABET", "BayesConsistencyReport", "BellReport", "ContextData", "Distribution",
     "FeasibilityResult", "GameAverages", "GamePart", "GameSpec", "GeneratorSpec",
@@ -17,7 +18,7 @@ PUBLIC_NAMES = [
     "bayes_consistency", "bell_check", "bell_scan", "born_probability",
     "build_representation", "check_reversibility", "classify_context",
     "conditional_frequencies", "context_to_json", "covariance", "delta_basis",
-    "estimate_frequencies", "expand_in_basis", "game_from_json", "game_to_json",
+    "estimate_frequencies", "expand_in_basis", "game_from_json",
     "inner_product", "interference_average", "interference_coefficients",
     "joint_distribution", "joint_feasibility", "multidim_average",
     "ql_average", "read_sequence", "reconstruct_data", "report_to_json",
