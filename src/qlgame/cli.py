@@ -5,9 +5,11 @@ estimation, with JSON/CSV output.
 Exit status: 0 on success, 1 on a domain error (validation failure,
 hyperbolic context, ...), 2 on usage or I/O errors, including input files
 that are not UTF-8 or not JSON and a failed write to stdout or
-``--output``.  Every failure prints one ``error:`` line and no traceback.
-Output files are only written after the computation succeeds, and a
-failed write leaves the previous file in place.
+``--output`` (a full disk, a closed pipe).  Every failure prints one
+``error:`` line and no traceback.  Every result is written as a sequence
+of text pieces: one JSON document, or the ``bell`` CSV line by line as it
+is computed.  Refusals come before any output, and an ``--output`` file
+replaces the previous one only once it is complete.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import argparse
 import itertools
 import json
 import math
+import operator
 import os
 import stat
 import sys
 import uuid
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import classicality, frequency, game, montecarlo
@@ -37,13 +41,7 @@ from .probability import (
     context_to_json,
     validate_context_data,
 )
-from .representation import (
-    HyperbolicContextError,
-    build_representation,
-    representation_to_json,
-)
-
-DOMAIN_ERRORS = (ValidationError, HyperbolicContextError)
+from .representation import build_representation, representation_to_json
 
 CSV_COLUMNS = (
     "theta1", "theta2", "theta3",
@@ -84,19 +82,14 @@ def _load_game(args):
     return spec, pairs
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _csv_text(rows) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+def _csv_lines(rows) -> Iterator[str]:
+    """The ``bell`` CSV one line at a time: the header, then one line per
+    row, with booleans as true/false and numbers to 12 significant digits."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for values in map(operator.itemgetter(*CSV_COLUMNS), rows):
+        yield ",".join([
+            ("true" if v else "false") if isinstance(v, bool) else f"{v:.12g}" for v in values
+        ]) + "\n"
 
 
 def _parse_thetas(text: str) -> tuple[float, float, float]:
@@ -122,11 +115,12 @@ def _system_from_json(obj) -> classicality.PairwiseSystem:
     return classicality.PairwiseSystem(*marginals, *joints)
 
 
-def _render(result) -> str:
-    """Text (the ``bell`` CSV) as given, anything else as 12-digit JSON."""
-    if isinstance(result, str):
-        return result
-    return json.dumps(_sig12(result), indent=2) + "\n"
+def _render(result) -> Iterable[str]:
+    """Text pieces: the ``bell`` CSV lines as given, any other result as one
+    12-digit JSON document."""
+    if isinstance(result, dict):
+        return (json.dumps(_sig12(result), indent=2) + "\n",)
+    return result
 
 
 def _cmd_validate(args) -> dict:
@@ -165,7 +159,7 @@ def _cmd_average(args) -> dict:
     return out
 
 
-def _cmd_bell(args) -> str:
+def _cmd_bell(args) -> Iterator[str]:
     if (args.thetas is None) == (args.grid is None):
         raise ValidationError("pass exactly one of --thetas or --grid")
     if args.thetas is not None:
@@ -174,8 +168,9 @@ def _cmd_bell(args) -> str:
         fields = tuple(getattr(report, c) for c in CSV_COLUMNS[3:])
         rows = [dict(zip(CSV_COLUMNS, thetas + fields))]
     else:
-        rows = classicality.bell_scan(args.grid)
-    return _csv_text(rows)
+        scan = classicality.bell_scan(args.grid)
+        rows = itertools.chain([next(scan)], scan)  # a bad step is refused before output
+    return _csv_lines(rows)
 
 
 def _cmd_feasibility(args) -> dict:
@@ -284,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(path: Path, payload: str) -> None:
-    """Write ``payload`` to ``path`` whole or not at all.
+def _write_output(path: Path, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to ``path`` whole or not at all.
 
     The text goes to a new file in the target's directory, created with the
     mode ``open(path, "w")`` would give, and replaces the target only once it
@@ -294,7 +289,8 @@ def _write_output(path: Path, payload: str) -> None:
     directly.
     """
     if path.exists() and not path.is_file():
-        path.write_text(payload)
+        with open(path, "w") as out:
+            out.writelines(pieces)
         return
     target = path.resolve()  # a symlink keeps pointing at the new file
     temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
@@ -302,7 +298,7 @@ def _write_output(path: Path, payload: str) -> None:
         with open(temp, "x") as out:
             if target.exists():
                 os.fchmod(out.fileno(), stat.S_IMODE(target.stat().st_mode))
-            out.write(payload)
+            out.writelines(pieces)
         os.replace(temp, target)
     except BaseException:
         temp.unlink(missing_ok=True)
@@ -316,15 +312,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = _render(args.func(args))
+        pieces = _render(args.func(args))
         if args.output:
-            _write_output(Path(args.output), payload)
+            _write_output(Path(args.output), pieces)
         else:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(pieces)
             sys.stdout.flush()
-    except (*DOMAIN_ERRORS, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, DOMAIN_ERRORS) else 2
+        return 1 if isinstance(exc, ValidationError) else 2
     return 0
 
 

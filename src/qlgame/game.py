@@ -29,7 +29,6 @@ from .probability import (
     joint_distribution,
 )
 from .representation import (
-    HyperbolicContextError,
     QLRepresentation,
     born_context,
     born_tables,
@@ -96,6 +95,9 @@ class GameSpec:
                 if player not in self.players:
                     raise ValidationError(f"part {k} pays unknown player {player!r}")
             if self.zero_sum:
+                shapes = [m.entries.shape for m in part.payoffs.values()]
+                if len(set(shapes)) > 1:
+                    raise ValidationError(f"part {k} payoff matrices differ in shape: {shapes}")
                 total = sum(m.entries for m in part.payoffs.values())
                 if np.max(np.abs(total)) > ZERO_SUM_TOL:
                     raise ValidationError(
@@ -298,7 +300,7 @@ def three_player_representations(pair_contexts: PairContexts) -> ThreePlayerRepo
     for pair in ordered:
         try:
             reps.append(build_representation(contexts[pair]))
-        except (HyperbolicContextError, ValidationError) as exc:
+        except ValidationError as exc:
             raise type(exc)(f"pair {pair}: {exc}") from exc
     unitaries = []
     discrepancies = []

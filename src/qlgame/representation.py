@@ -38,7 +38,7 @@ HYPERBOLIC = "hyperbolic"
 PHASE_TOL = 1e-10
 
 
-class HyperbolicContextError(ValueError):
+class HyperbolicContextError(ValidationError):
     """Context has |lambda| > 1: no cosine-phase representation exists."""
 
 

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -232,6 +233,19 @@ def test_bell_grid_domain_errors(capsys, tmp_path, step):
     assert "grid step" in err
 
 
+def test_bell_grid_is_written_as_it_is_computed(tmp_path):
+    out_path = tmp_path / "scan.csv"
+    tracemalloc.start()
+    try:
+        code = main(["bell", "--grid", repr(2.0 * math.pi / 40), "--output", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    size = out_path.stat().st_size  # 64,000 rows, ~8 MB
+    assert size > 7_000_000 and peak < size / 4
+
+
 def test_feasibility_thetas(capsys):
     code, out, _ = run(capsys, "feasibility", "--thetas", "0,0,0")
     assert code == 0
@@ -388,12 +402,22 @@ def _drop(mapping, key):
             lambda doc: doc.update(players=["a", 2]),
             "error: players must be a list of names, got ['a', 2]",
         ),
+        # a zero-sum part sums its matrices, so their shapes are checked first
+        (
+            lambda doc: doc["parts"][0]["payoffs"].update(a=np.eye(3).tolist()),
+            "error: part 0 payoff matrices differ in shape: [(2, 2), (3, 3)]\n",
+        ),
+        (
+            lambda doc: doc["parts"][1]["payoffs"].update(a=[[0.0]]),
+            "error: part 1 payoff matrices differ in shape: [(2, 2), (1, 1)]\n",
+        ),
     ],
     ids=[
         "non-numeric-payoff", "ragged-payoff", "players-string", "payoffs-list",
         "zero-sum-string", "zero-sum-number", "game-list", "parts-dict", "parts-string",
         "part-int", "no-parts", "no-players", "no-chooser", "no-tester", "no-payoffs",
-        "chooser-list", "tester-null", "player-int",
+        "chooser-list", "tester-null", "player-int", "zero-sum-shapes-2-3",
+        "zero-sum-shapes-2-1",
     ],
 )
 def test_malformed_game_is_a_domain_error(capsys, d1_file, tmp_path, command, mutate, message):
@@ -726,6 +750,21 @@ def test_failed_stdout_write_exits_2(capsys, monkeypatch, d1_file, stdout):
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == [f"error: {stdout.write_error or stdout.flush_error}"]
+
+
+def test_closed_pipe_exits_2():
+    # the reader takes 10 bytes of a ~27 MB CSV and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(ql.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    with subprocess.Popen(
+        [sys.executable, "-m", "qlgame.cli", "bell", "--grid", repr(2.0 * math.pi / 60)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert code == 2
+    assert err.splitlines() == [f"error: {BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))}"]
 
 
 @pytest.mark.parametrize(
