@@ -78,7 +78,7 @@ def spin_transition_matrix(theta_i: float, theta_j: float) -> TransitionMatrix:
     on the diagonal; symmetric and doubly stochastic by construction."""
     if not (math.isfinite(theta_i) and math.isfinite(theta_j)):
         raise ValidationError("angles must be finite")
-    c = math.cos((theta_i - theta_j) / 2.0) ** 2
+    c = math.cos(theta_i / 2.0 - theta_j / 2.0) ** 2
     s = 1.0 - c
     return TransitionMatrix(np.array([[c, s], [s, c]]))
 
@@ -322,7 +322,7 @@ def _grid_count(step: float) -> int:
         raise ValidationError(
             f"grid step {step!r} gives more than {MAX_GRID_COUNT} angles per axis"
         )
-    return int(math.ceil(span))
+    return max(1, math.ceil(span))
 
 
 def bell_scan(step: float) -> Iterator[dict]:
@@ -336,7 +336,7 @@ def bell_scan(step: float) -> Iterator[dict]:
     count = _grid_count(step)
     angles = [k * step for k in range(count)]
     # spin_transition_matrix's diagonal for the ordered pair (theta_i, theta_j)
-    c = np.array([[math.cos((ti - tj) / 2.0) ** 2 for tj in angles] for ti in angles])
+    c = np.array([[math.cos(ti / 2.0 - tj / 2.0) ** 2 for tj in angles] for ti in angles])
     # covariance() of the joint [[c, s], [s, c]] / 2: the +-1 signs and the
     # halving are exact, which leaves this single rounding
     cov = c - (1.0 - c)

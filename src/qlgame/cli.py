@@ -83,13 +83,12 @@ def _load_game(args):
 
 
 def _csv_lines(rows) -> Iterator[str]:
-    """The ``bell`` CSV one line at a time: the header, then one line per
-    row, with booleans as true/false and numbers to 12 significant digits."""
+    """The ``bell`` CSV one line at a time: the header, then one line per value
+    tuple in ``CSV_COLUMNS`` order, eight numbers to 12 digits and two flags."""
     yield ",".join(CSV_COLUMNS) + "\n"
-    for values in map(operator.itemgetter(*CSV_COLUMNS), rows):
-        yield ",".join([
-            ("true" if v else "false") if isinstance(v, bool) else f"{v:.12g}" for v in values
-        ]) + "\n"
+    for *numbers, violated, feasible in rows:
+        yield "%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%s,%s\n" % (
+            *numbers, ("false", "true")[violated], ("false", "true")[feasible])
 
 
 def _parse_thetas(text: str) -> tuple[float, float, float]:
@@ -165,10 +164,9 @@ def _cmd_bell(args) -> Iterator[str]:
     if args.thetas is not None:
         thetas = _parse_thetas(args.thetas)
         report = classicality.bell_check(classicality.spin_system(*thetas))
-        fields = tuple(getattr(report, c) for c in CSV_COLUMNS[3:])
-        rows = [dict(zip(CSV_COLUMNS, thetas + fields))]
+        rows = [thetas + operator.attrgetter(*CSV_COLUMNS[3:])(report)]
     else:
-        scan = classicality.bell_scan(args.grid)
+        scan = map(operator.itemgetter(*CSV_COLUMNS), classicality.bell_scan(args.grid))
         rows = itertools.chain([next(scan)], scan)  # a bad step is refused before output
     return _csv_lines(rows)
 

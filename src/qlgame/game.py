@@ -98,7 +98,8 @@ class GameSpec:
                 shapes = [m.entries.shape for m in part.payoffs.values()]
                 if len(set(shapes)) > 1:
                     raise ValidationError(f"part {k} payoff matrices differ in shape: {shapes}")
-                total = sum(m.entries for m in part.payoffs.values())
+                with np.errstate(over="ignore"):
+                    total = sum(m.entries for m in part.payoffs.values())
                 if np.max(np.abs(total)) > ZERO_SUM_TOL:
                     raise ValidationError(
                         f"zero-sum violated in part {k}: cell sums reach "
@@ -296,12 +297,7 @@ def three_player_representations(pair_contexts: PairContexts) -> ThreePlayerRepo
     """
     contexts = {tuple(k): v for k, v in pair_contexts.items()}
     ordered = _cycle_order(contexts.keys())
-    reps = []
-    for pair in ordered:
-        try:
-            reps.append(build_representation(contexts[pair]))
-        except ValidationError as exc:
-            raise type(exc)(f"pair {pair}: {exc}") from exc
+    reps = [_named(f"pair {pair}", build_representation, contexts[pair]) for pair in ordered]
     unitaries = []
     discrepancies = []
     for rep_from, rep_to in ((reps[0], reps[1]), (reps[1], reps[2])):

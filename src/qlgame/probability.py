@@ -27,18 +27,19 @@ def _frozen(values) -> np.ndarray:
     """Read-only float copy of ``values``; refuses non-numeric or ragged input."""
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"not a numeric array ({exc})") from exc
     arr.setflags(write=False)
     return arr
 
 
 def _named(name: str, build, *args):
-    """``build(*args)``, naming ``name`` in any ValidationError it raises."""
+    """``build(*args)``, naming ``name`` in any ValidationError it raises;
+    the error keeps its class."""
     try:
         return build(*args)
     except ValidationError as exc:
-        raise ValidationError(f"{name}: {exc}") from exc
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def _labels(alphabet) -> tuple[str, ...]:

@@ -113,7 +113,8 @@ def interference_coefficients(data: ContextData) -> np.ndarray:
     t = data.trans_b_given_a.rows
     predicted = pa @ t
     denominator = 2.0 * np.sqrt((pa[:, None] * t).prod(axis=0))
-    return (pb - predicted) / denominator
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (pb - predicted) / denominator
 
 
 def _zero_entry_message(data: ContextData) -> str:

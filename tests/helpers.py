@@ -478,3 +478,11 @@ def reference_empirical_averages(spec, report) -> ql.GameAverages:
             }
         )
     return _reference_game_averages(parts, spec.players)
+
+
+def reference_csv_line(values) -> str:
+    """One ``bell`` CSV line formatted cell by cell: a bool as true/false,
+    any other value to 12 significant digits."""
+    return ",".join(
+        ("true" if v else "false") if isinstance(v, bool) else f"{v:.12g}" for v in values
+    ) + "\n"

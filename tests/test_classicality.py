@@ -402,6 +402,17 @@ def test_bell_scan_grid_count_limit():
         next(ql.bell_scan(2.0 * math.pi / (classicality.MAX_GRID_COUNT + 1)))
 
 
+@pytest.mark.parametrize("step", [7.0, 1e13])
+def test_bell_scan_step_beyond_the_circle_gives_the_one_angle_zero(step):
+    assert [row["theta1"] for row in ql.bell_scan(step)] == [0.0]
+
+
+def test_spin_angles_whose_difference_overflows_are_accepted():
+    # 1e308 - (-1e308) overflows, but the half angles subtract to a finite 1e308
+    system = ql.spin_system(1e308, -1e308, 0.0)
+    assert ql.bell_check(system).cov_ab == pytest.approx(2.0 * math.cos(1e308) ** 2 - 1.0, abs=1e-12)
+
+
 def _pairwise_parts(marginal_a=None, marginal_b=None, marginal_c=None, ab=None, bc=None, ca=None):
     """Uniform 2-outcome marginals and quarter joints, with any part replaced."""
     unif = ql.uniform_distribution()

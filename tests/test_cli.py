@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
-from qlgame.cli import main
+from qlgame.cli import CSV_COLUMNS, _csv_lines, main
 from qlgame.probability import PROB_TOL
 
 VIOLATING = "0,2.0943951023931953,1.0471975511965976"
@@ -210,6 +210,68 @@ def test_bell_thetas_row_matches_grid_row(capsys):
         header, row = out.splitlines()
         assert header == grid[0]
         assert row == grid[1 + 144 * k1 + 12 * k2 + k3]
+
+
+CSV_HEADER = "theta1,theta2,theta3,cov_ab,cov_bc,cov_ca,lhs,rhs,violated,lp_feasible\n"
+CSV_NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 3.0, -42.0, 2.0**60]),
+)
+
+
+@given(st.lists(st.tuples(*[CSV_NUMBERS] * 8, st.booleans(), st.booleans()), max_size=4))
+def test_csv_lines_match_the_per_cell_reference(rows):
+    assert list(_csv_lines(rows)) == [CSV_HEADER, *map(helpers.reference_csv_line, rows)]
+
+
+@pytest.mark.parametrize("step", [math.pi / 6.0, 0.7])
+def test_bell_grid_bytes_match_the_reference(capsys, step):
+    code, out, err = run(capsys, "bell", "--grid", repr(step))
+    assert (code, err) == (0, "")
+    rows = (tuple(row[c] for c in CSV_COLUMNS) for row in ql.bell_scan(step))
+    assert out == CSV_HEADER + "".join(map(helpers.reference_csv_line, rows))
+
+
+@pytest.mark.parametrize("argv", [
+    ["bell", "--thetas=1e308,-1e308,0"],
+    ["feasibility", "--thetas=1e308,-1e308,0"],
+    ["bell", "--grid", "6.3e12"],
+    ["bell", "--grid", "7.0"],
+])
+def test_finite_extreme_angles_and_steps_are_accepted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[1] == "--grid":  # a step beyond 2pi leaves the one angle 0
+        assert out == CSV_HEADER + "0,0,0,1,1,1,0,0,false,true\n"
+    elif argv[0] == "bell":
+        assert out.splitlines()[1].startswith("1e+308,-1e+308,0,")
+
+
+UNDERFLOWING_PRODUCT = dict(helpers.D1_RAW, marginal_a=[5e-324, 1.0])
+OVERFLOWING_SUM_GAME = {
+    "players": ["alice", "bob"],
+    "zero_sum": True,
+    "parts": [{"chooser": "alice", "tester": "bob", "payoffs": {
+        "alice": [[1e308, 1e308], [1e308, 1e308]],
+        "bob": [[1e308, -1e308], [-1e308, 1e308]],
+    }}],
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["qlra", "--input", "ctx"], "interference coefficients must be finite"),
+    (["average", "--ql", "--game", "d1game", "--context", "ctx"],
+     "interference coefficients must be finite"),
+    (["average", "--game", "game", "--context", "d1"],
+     "zero-sum violated in part 0: cell sums reach inf"),
+])
+def test_overflow_and_underflow_refusals_print_one_line(capsys, tmp_path, game_file, argv, message):
+    docs = {"ctx": UNDERFLOWING_PRODUCT, "game": OVERFLOWING_SUM_GAME, "d1": helpers.D1_RAW}
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    paths = {name: tmp_path / name for name in docs} | {"d1game": game_file}
+    code, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def _assert_single_error(code, out, err, out_path):
@@ -826,11 +888,12 @@ def context_documents(draw):
     fault = draw(st.sampled_from(["none", "entry", "missing"]))
     if fault == "entry":
         key = draw(st.sampled_from(CONTEXT_KEYS))
-        flat = np.array(doc[key]).ravel()
-        flat[draw(st.integers(0, flat.size - 1))] = draw(
-            st.sampled_from([math.nan, math.inf, -math.inf, -0.25])
+        rows = doc[key] if isinstance(doc[key][0], list) else [doc[key]]
+        k = draw(st.integers(0, n * len(rows) - 1))
+        # set in the nested list: a float array cannot hold 10**400
+        rows[k // n][k % n] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.25, 10**400])
         )
-        doc[key] = flat.reshape(np.shape(doc[key])).tolist()
         valid = False
     elif fault == "missing":
         del doc[draw(st.sampled_from(CONTEXT_KEYS))]
@@ -877,7 +940,7 @@ NOT_A_MAPPING = st.sampled_from([[], [1], "x", 7, 0.5, True, None])
 NOT_A_LIST = st.sampled_from([{}, {"x": 1}, "ab", 7, True, None])
 NOT_A_NAME = st.sampled_from([["a"], {"a": 1}, 1, None, True])
 NOT_A_FLAG = st.sampled_from(["false", "true", "", 0, 1, 0.5, None, [True]])
-NOT_A_TABLE = st.sampled_from(["x", {"F": 0.5}, None, [["x"]], True])
+NOT_A_TABLE = st.sampled_from(["x", {"F": 0.5}, None, [["x"]], True, [[10**400, 0.0], [0.0, 1.0]]])
 
 
 @st.composite

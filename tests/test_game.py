@@ -61,6 +61,17 @@ def test_zero_sum_flag_enforced():
         )
 
 
+def test_zero_sum_check_refuses_overflowing_cell_sums_without_a_warning():
+    huge = ql.PayoffMatrix([[1e308, 1e308], [1e308, 1e308]])
+    signed = ql.PayoffMatrix([[1e308, -1e308], [-1e308, 1e308]])
+    with pytest.raises(ql.ValidationError, match="cell sums reach inf"):
+        ql.GameSpec(
+            ("alice", "bob"),
+            (ql.GamePart("alice", "bob", {"alice": huge, "bob": signed}),),
+            zero_sum=True,
+        )
+
+
 def test_payoff_convention_warning():
     with pytest.warns(ql.PayoffConventionWarning):
         ql.GameSpec(

@@ -34,6 +34,15 @@ def test_validate_rejects_negative_marginal():
         ql.validate_context_data(raw)
 
 
+def test_validate_refuses_integer_beyond_float_range():
+    raw = dict(helpers.D1_RAW, marginal_a=[10**400, 0])
+    with pytest.raises(
+        ql.ValidationError,
+        match=r"^marginal_a: not a numeric array \(int too large to convert to float\)$",
+    ):
+        ql.validate_context_data(raw)
+
+
 def test_validate_refuses_context_data_object(d1):
     with pytest.raises(ql.ValidationError, match="context data must be a mapping"):
         ql.validate_context_data(d1)

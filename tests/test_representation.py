@@ -41,6 +41,13 @@ def test_interference_requires_positivity():
         ql.interference_coefficients(data)
 
 
+def test_underflowing_product_is_refused_without_a_warning():
+    # p_a(F) p(b|a=F) underflows to 0, so the denominator of lambda vanishes
+    data = ql.validate_context_data(dict(helpers.D1_RAW, marginal_a=[5e-324, 1.0]))
+    with pytest.raises(ql.ValidationError, match="interference coefficients must be finite"):
+        ql.build_representation(data)
+
+
 def test_classify_context():
     assert ql.classify_context([0.204124, -0.204124]) == ql.TRIGONOMETRIC
     assert ql.classify_context([4.0 / 3.0, -4.0 / 3.0]) == ql.HYPERBOLIC
