@@ -51,16 +51,22 @@ def inner_product(v, w) -> complex:
 
 
 def norm(v) -> float:
-    """Euclidean length of a vector, its squares summed in Python floats.
+    """Euclidean length of a vector, its squares summed exactly by ``math.fsum``.
 
-    Overflow-safe: squares past the float range give inf, and a nan or inf
-    entry gives nan or inf, without a numpy warning.
+    Only the squares and the sum are rounded, so the length stays within
+    an ulp of numpy's in practice and both put it on the same side of
+    1 -/+ NORM_TOL; a running sum can drift two ulps and flip that side.
+    Overflow-safe: squares or a sum past the float range give inf, and a
+    nan or inf entry gives nan or inf, without a numpy warning.
     """
-    re = im = 0.0
+    squares = []
     for z in _vector(v).tolist():
-        re += z.real * z.real
-        im += z.imag * z.imag
-    return math.sqrt(re + im)
+        squares.append(z.real * z.real)
+        squares.append(z.imag * z.imag)
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

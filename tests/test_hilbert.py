@@ -263,6 +263,12 @@ def _last_bit_apart(v) -> bool:
 @example(([1.0 + NORM_TOL, 0.0], [1.0, 0.0]))
 @example(([1.0, 0.0], [1.0 - NORM_TOL, 0.0]))
 @example((np.array([0.6, 0.8j]), np.array([np.inf, 0.0])))
+# a norm just inside 1 - NORM_TOL that running sums rounded two ulps low, onto the edge
+@example((
+    np.array([1.0, 0.0, 0.0]),
+    np.array([0.5005506943591729j, 8.435732103161863e-10 + 0.6759990675419193j,
+              0.1581362827195128 + 0.5171722913562367j]),
+))
 def test_born_probability_matches_reference(case):
     got = _born_outcome(ql.born_probability, *case)
     # the same decision, message and value as the reference on the same norm
