@@ -62,7 +62,7 @@ def _sig12(value):
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return json.loads(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _load_game(args):

@@ -34,10 +34,8 @@ def _code(labels: Sequence) -> tuple[np.ndarray, tuple]:
     """The labels as (codes, alphabet), the alphabet in order of first appearance.
 
     When every distinct label is an exact one-character ``str``, the joined
-    labels are read as UTF-32 code points and ``searchsorted`` maps them to
-    the sorted distinct points; ``minimum.at`` finds each point's first
-    position and the codes are remapped to first-appearance order.  Any
-    other labels are mapped through a dictionary, one label at a time.
+    labels are read as UTF-32 code points and coded by :func:`_code_points`.
+    Any other labels are mapped through a dictionary, one label at a time.
     """
     distinct = set(labels)
     if not _one_char(distinct):
@@ -45,9 +43,15 @@ def _code(labels: Sequence) -> tuple[np.ndarray, tuple]:
         lookup = {label: k for k, label in enumerate(alphabet)}
         return np.fromiter(map(lookup.__getitem__, labels), np.intp, len(labels)), alphabet
     points = np.sort(np.fromiter(map(ord, distinct), np.uint32, len(distinct)))
-    text = "".join(labels).encode(_UTF32, "surrogatepass")
-    codes = np.searchsorted(points, np.frombuffer(text, np.uint32))
-    del text
+    return _code_points(points, np.frombuffer(
+        "".join(labels).encode(_UTF32, "surrogatepass"), np.uint32))
+
+
+def _code_points(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Code points as (codes, alphabet): ``searchsorted`` onto their sorted
+    distinct ``points``, then remapped in place to first-appearance order."""
+    codes = np.searchsorted(points, values)
+    del values  # a temporary of the caller's is freed here
     # First position of each point, a block at a time, so that no n-long
     # position array is built; most sequences show every label in block one.
     first = np.full(points.size, codes.size)
@@ -108,30 +112,39 @@ class StabilizationReport:
     stabilized: bool
 
 
-def _indices(seq: TrialSequence, alphabet: tuple[str, ...]) -> np.ndarray:
-    """The sequence's codes remapped to positions in ``alphabet``."""
+def _table(seq: TrialSequence, alphabet: tuple[str, ...]) -> np.ndarray:
+    """Position in ``alphabet`` of each label of the sequence's alphabet, -1 if
+    absent; refuses the first absent label, in sequence order, that occurs."""
     lookup = {label: k for k, label in enumerate(alphabet)}
     table = np.array([lookup.get(label, -1) for label in seq.alphabet], dtype=np.intp)
-    idx = table[seq.codes]
-    unknown = idx < 0
-    if unknown.any():
+    if (table < 0).any() and (unknown := table[seq.codes] < 0).any():
         label = seq.alphabet[seq.codes[int(np.argmax(unknown))]]
         raise ValidationError(f"outcome {label!r} not in alphabet {alphabet}")
-    return idx
+    return table
 
 
-def _running(idx: np.ndarray, k: int, start: int = 0) -> np.ndarray:
-    """Running relative frequencies after start + 1, ..., N trials.
+def _counts(codes: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
+    """Float counts of the ``k`` positions that ``table`` gives the codes, counted
+    a block at a time because ``bincount`` copies its input."""
+    own = np.zeros(table.size, np.intp)
+    for start in range(0, codes.size, _BLOCK):
+        own += np.bincount(codes[start:start + _BLOCK], minlength=table.size)
+    known = table >= 0
+    return np.bincount(table[known], own[known], k)
+
+
+def _running(idx: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """Running relative frequencies over ``idx``, continuing from the counts ``before``.
 
     The counts are integers, exact in float64, so each row equals the same
     row computed from trial 1 on.
     """
-    tail = idx[start:]
-    counts = np.zeros((tail.size, k))
-    counts[np.arange(tail.size), tail] = 1.0
+    counts = np.zeros((idx.size, before.size))
+    counts[np.arange(idx.size), idx] = 1.0
     np.cumsum(counts, axis=0, out=counts)
-    counts += np.bincount(idx[:start], minlength=k)
-    counts /= np.arange(start + 1, idx.size + 1)[:, None]
+    counts += before
+    start = int(before.sum())
+    counts /= np.arange(start + 1, start + idx.size + 1)[:, None]
     return counts
 
 
@@ -141,8 +154,7 @@ def estimate_frequencies(
     """Relative frequency of each outcome; entries are exact multiples of 1/N."""
     if len(seq) == 0:
         raise ValidationError("empty sequence")
-    idx = _indices(seq, alphabet)
-    counts = np.bincount(idx, minlength=len(alphabet))
+    counts = _counts(seq.codes, _table(seq, alphabet), len(alphabet))
     return Distribution(counts / len(seq), alphabet)
 
 
@@ -152,7 +164,7 @@ def running_frequencies(
     """Running relative frequencies: row N-1 holds the frequencies after N trials."""
     if len(seq) == 0:
         raise ValidationError("empty sequence")
-    return _running(_indices(seq, alphabet), len(alphabet))
+    return _running(_table(seq, alphabet)[seq.codes], np.zeros(len(alphabet)))
 
 
 def stabilization_report(
@@ -176,8 +188,9 @@ def stabilization_report(
         raise ValidationError(
             f"sequence of length {n} too short for window fraction {window_fraction}"
         )
-    window = int(n * window_fraction)
-    tail = _running(_indices(seq, alphabet), len(alphabet), n - window)
+    start = n - int(n * window_fraction)
+    table = _table(seq, alphabet)
+    tail = _running(table[seq.codes[start:]], _counts(seq.codes[:start], table, len(alphabet)))
     final = tail[-1]
     oscillation = float(np.max(np.abs(tail - final)))
     return StabilizationReport(
@@ -206,10 +219,20 @@ def conditional_frequencies(
 def read_sequence(source) -> TrialSequence:
     """Read a plain-text sequence: one outcome label per line, blanks skipped.
 
-    A path is read as UTF-8; its line list is freed before the labels are coded.
+    A path is read as UTF-8 with any byte-order mark dropped.  A file of lines
+    of one byte in 0x21-0x7E and ``"\\n"`` is coded straight from its bytes.
     """
     if isinstance(source, (str, Path)):
-        source = Path(source).read_text(encoding="utf-8").splitlines()
+        data = Path(source).read_bytes()
+        raw = np.frombuffer(data, np.uint8)
+        column = raw[::2]
+        if raw.size and not raw.size % 2 and (raw[1::2] == 10).all() and (column - 0x21 < 0x5E).all():
+            seen = np.zeros(256, bool)  # not np.unique: its first call imports numpy.ma
+            seen[column] = True
+            points = np.flatnonzero(seen).astype(np.uint8)
+            return TrialSequence._from_codes(*_code_points(points, column), "C")
+        source = data.decode("utf-8-sig").splitlines()
+        del data, raw, column
     labels = list(filter(None, map(str.strip, source)))
     del source
     return TrialSequence(labels)

@@ -14,7 +14,6 @@ uniform variate per trial, inverse-CDF over the fixed outcome order.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 from dataclasses import dataclass
 
@@ -60,6 +59,8 @@ def stream_rng(seed: int, stream_id: str, partition: int = 0) -> np.random.Gener
     partition = _integer(partition, "partition")
     if partition < 0:
         raise ValidationError("partition must be a nonnegative integer")
+    import hashlib  # imported here: it loads OpenSSL, which only seeding needs
+
     digest = hashlib.sha256(stream_id.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng([seed, *words, partition])

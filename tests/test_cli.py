@@ -1,3 +1,4 @@
+import codecs
 import errno
 import io
 import itertools
@@ -853,6 +854,38 @@ def test_non_utf8_input_exits_2(capsys, d1_file, game_file, tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "utf-8" in lines[0]
     assert "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--input", "{d1}"),
+        ("average", "--game", "{game}", "--context", "{d1}"),
+        ("estimate", "--input", "{seq}"),
+    ],
+)
+def test_bom_led_input_reads_as_without(capsys, d1_file, game_file, tmp_path, argv):
+    # some editors start UTF-8 files with a byte-order mark
+    seq = tmp_path / "seq.txt"
+    seq.write_text("F\nI\nF\n")
+    plain = {"d1": d1_file, "game": game_file, "seq": seq}
+    led = {}
+    for key, path in plain.items():
+        led[key] = tmp_path / f"bom-{path.name}"
+        led[key].write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    want = run(capsys, *(a.format(**plain) for a in argv))
+    assert want[0] == 0
+    assert run(capsys, *(a.format(**led) for a in argv)) == want
+
+
+def test_import_loads_no_openssl():
+    # hashlib maps OpenSSL's libcrypto into the process; only seeding needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(ql.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qlgame.cli; print('_hashlib' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")

@@ -1,6 +1,7 @@
 import math
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -247,3 +248,62 @@ def test_read_sequence_matches_line_reference(lines):
     for seq in read:
         assert seq.outcomes == tuple(labels) and seq.alphabet == alphabet
         assert seq.codes.tolist() == codes
+
+
+# The byte path takes only files of one byte in 0x21-0x7E and "\n" per line;
+# each other file here falls back to the decoded, stripped lines.
+PRINTABLE = "".join(map(chr, np.random.default_rng(5).permutation(np.arange(0x21, 0x7F))))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "I\nF\nI\nI\n",
+        "".join(f"{c}\n" for c in PRINTABLE),
+        "I\r\nF\r\nI\r\nI\r\n",
+        "I\nF\nI\nI",
+        "I\nF\n\nI\nI\n",
+        "I\nF\n \nI\n",
+        "I\nF \nI\nI\n",
+        "I\n\x1c\nF\n",
+        "I\n\x7f\nF\n",
+        "I\né\nF\n",
+        "I\n\x85F\n",
+        "",
+    ],
+    ids=["fast", "printable", "crlf", "no-final-newline", "blank", "space", "padded",
+         "x1c", "x7f", "e-acute", "x85", "empty"],
+)
+def test_read_sequence_paths_agree(tmp_path, text):
+    path = tmp_path / "seq.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want = read_sequence(text.splitlines())
+    got = read_sequence(path)
+    assert got.codes.tolist() == want.codes.tolist()
+    assert got.alphabet == want.alphabet and got.outcomes == want.outcomes
+
+
+def _traced_peak(fn, *args):
+    """The function's value and the peak of the memory it allocates."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_and_count_memory_bounds(tmp_path):
+    # 5e5 one-character labels: reading holds the file and the codes, and
+    # counting builds no array as long as the sequence
+    mib = 1 << 20
+    path = tmp_path / "seq.txt"
+    draws = np.random.default_rng(11).integers(0, 2, 500_000)
+    path.write_text("".join(("F\n", "I\n")[k] for k in draws))
+    seq, peak = _traced_peak(read_sequence, path)
+    assert seq.codes.tolist() == draws.tolist() or seq.codes.tolist() == (1 - draws).tolist()
+    assert peak <= seq.codes.nbytes + path.stat().st_size + mib
+    assert _traced_peak(ql.estimate_frequencies, seq)[1] <= 1.5 * mib
+    assert _traced_peak(ql.stabilization_report, seq, 0.1)[1] <= 3 * mib
