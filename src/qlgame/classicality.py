@@ -34,7 +34,6 @@ from .probability import (
 
 UNIFORM_TOL = 1e-10
 FEASIBILITY_TOL = 1e-9
-BELL_TOL = 1e-12
 # Finest bell_scan grid: at most 360 angles per axis (a one-degree step),
 # 360^3 ~ 4.7e7 points.
 MAX_GRID_COUNT = 360
@@ -293,7 +292,9 @@ def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
 
 def bell_check(system: PairwiseSystem) -> BellReport:
     """Three-term correlation inequality |cov(a,b) - cov(b,c)| <= 1 - cov(c,a),
-    together with the exact feasibility decision it is necessary for."""
+    together with the exact feasibility decision it is necessary for.
+    ``violated`` needs lhs > rhs and no joint within FEASIBILITY_TOL, so a
+    violation always implies infeasibility."""
     cov_ab = covariance(system.joint_ab)
     cov_bc = covariance(system.joint_bc)
     cov_ca = covariance(system.joint_ca)
@@ -306,7 +307,7 @@ def bell_check(system: PairwiseSystem) -> BellReport:
         cov_ca=cov_ca,
         lhs=lhs,
         rhs=rhs,
-        violated=lhs > rhs + BELL_TOL,
+        violated=lhs > rhs and not feas.feasible,
         lp_feasible=feas.feasible,
         witness=feas.witness,
     )
@@ -346,12 +347,12 @@ def bell_scan(step: float) -> Iterator[dict]:
         cov_ca = cov[:, i1]  # pair (theta3, theta1), theta3 along the last axis
         lhs = np.abs(cov_ab - cov)
         rhs = 1.0 - cov_ca
-        violated = lhs > rhs + BELL_TOL
         # uniform marginals: the row sums of both rows of each joint are
         # the same two numbers, so the means are exactly 0
         moments = np.stack(np.broadcast_arrays(0.0, 0.0, 0.0, cov_ab, cov, cov_ca), axis=-1)
         _, lo, hi = _triple_moment_interval(moments)
         feasible = lo <= hi + FEASIBILITY_TOL
+        violated = (lhs > rhs) & ~feasible
         lhs_rows, rhs_row = lhs.tolist(), rhs.tolist()
         violated_rows, feasible_rows = violated.tolist(), feasible.tolist()
         for i2, t2 in enumerate(angles):

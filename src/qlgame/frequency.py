@@ -191,8 +191,9 @@ def stabilization_report(
     start = n - int(n * window_fraction)
     table = _table(seq, alphabet)
     tail = _running(table[seq.codes[start:]], _counts(seq.codes[:start], table, len(alphabet)))
-    final = tail[-1]
-    oscillation = float(np.max(np.abs(tail - final)))
+    final = tail[-1].copy()
+    tail -= final
+    oscillation = float(np.max(np.abs(tail, out=tail)))
     return StabilizationReport(
         final_frequencies=Distribution(final, alphabet),
         max_tail_oscillation=oscillation,

@@ -28,12 +28,7 @@ from .probability import (
     _named,
     joint_distribution,
 )
-from .representation import (
-    QLRepresentation,
-    born_context,
-    born_tables,
-    build_representation,
-)
+from .representation import QLRepresentation, born_tables, build_representation
 
 ZERO_SUM_TOL = 1e-12
 
@@ -213,15 +208,19 @@ def _born_profile(rep: QLRepresentation):
     return born_a, born_b, rep._born_tables[2]
 
 
+def _born_weights(born_a, born_b, trans):
+    """Chooser-first weights |<psi, e^chooser>|^2 |<e^chooser, e^tester>|^2
+    of the two play orders: the a observable choosing, then the b one."""
+    return born_a[:, None] * trans, born_b[:, None] * trans.T
+
+
 def ql_average(rep: QLRepresentation, spec: GameSpec) -> GameAverages:
     """State-space form of the averages, term by term from squared inner
     products.  Agrees with :func:`total_averages` on the reconstructed data.
     """
     if len(spec.players) != 2:
         raise ValidationError("QL averages are defined for two-player games")
-    born_a, born_b, trans = _born_profile(rep)
-    first, second = spec.players
-    weights = {first: born_a[:, None] * trans, second: born_b[:, None] * trans.T}
+    weights = dict(zip(spec.players, _born_weights(*_born_profile(rep))))
     return _averages(spec, [weights[part.chooser] for part in spec.parts])
 
 
@@ -313,39 +312,21 @@ def three_player_representations(pair_contexts: PairContexts) -> ThreePlayerRepo
     )
 
 
-def _born_game(psi, a_basis, b_basis, payoff_part1, payoff_part2):
-    """The n-dimensional two-part game as an ordinary game on the n-letter
-    Born context of (psi, a basis, b basis).
-
-    Part 1: player ``a`` chooses, ``b`` tests and is paid ``payoff_part1``;
-    part 2 reverses the roles and pays ``b`` ``payoff_part2``.  Payoff
-    matrices are chooser-first indexed and taken as given, so the sign
-    convention is not checked.
-    """
-    alphabet = tuple(f"o{k}" for k in range(a_basis.dimension))
-    context = born_context(born_tables(psi, a_basis, b_basis), alphabet)
-    h1, h2 = (
-        PayoffMatrix(h.entries if isinstance(h, PayoffMatrix) else h)
-        for h in (payoff_part1, payoff_part2)
-    )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PayoffConventionWarning)
-        spec = GameSpec(
-            ("a", "b"),
-            (GamePart("a", "b", {"b": h1}), GamePart("b", "a", {"b": h2})),
-        )
-    return spec, context
-
-
 def multidim_average(psi, a_basis, b_basis, payoff_part1, payoff_part2) -> float:
     """Two-part tester average in dimension n.
 
     Part 1: chooser outcome j weighted by ``|<psi, e_j^a>|^2``, answer i by
     ``|<e_i^b, e_j^a>|^2``.  Part 2 swaps the roles onto the b basis.
-    Payoff matrices are chooser-first indexed.
+    Payoff matrices are chooser-first indexed and taken as given, so the
+    sign convention is not checked.
     """
-    spec, context = _born_game(psi, a_basis, b_basis, payoff_part1, payoff_part2)
-    return total_averages(spec, context).totals["b"]
+    born_a, born_b, trans = born_tables(psi, a_basis, b_basis)
+    h1, h2 = (
+        h if isinstance(h, PayoffMatrix) else PayoffMatrix(h)
+        for h in (payoff_part1, payoff_part2)
+    )
+    w_a, w_b = _born_weights(born_a, born_b, trans)
+    return float(_weighted(h1, w_a) + _weighted(h2, w_b))
 
 
 def game_from_json(obj) -> GameSpec:

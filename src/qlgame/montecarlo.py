@@ -15,6 +15,7 @@ uniform variate per trial, inverse-CDF over the fixed outcome order.
 from __future__ import annotations
 
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,14 +23,17 @@ import numpy as np
 from .frequency import TrialSequence
 from .game import (
     GameAverages,
+    GamePart,
     GameSpec,
+    PayoffConventionWarning,
+    PayoffMatrix,
     _averages,
-    _born_game,
     normalize_contexts,
     part_statistics,
 )
 from .hilbert import OrthonormalBasis
 from .probability import Distribution, JointTable, TransitionMatrix, ValidationError
+from .representation import born_context, born_tables
 
 
 @dataclass(frozen=True)
@@ -227,11 +231,23 @@ def simulate_multidim(
     seed: int,
     partitions: int = 1,
 ) -> SimulationReport:
-    """Simulate the n-dimensional two-part game: the ordinary game over the
-    n-letter Born context of the state and bases (see
-    :func:`qlgame.game.multidim_average`); the empirical tester average
-    converges to the analytic double sum."""
-    spec, context = _born_game(psi, a_basis, b_basis, payoff_part1, payoff_part2)
+    """Simulate the n-dimensional two-part game of
+    :func:`qlgame.game.multidim_average` as the ordinary game over the
+    n-letter Born context of the state and bases: player ``a`` chooses and
+    ``b`` tests in part 1, the roles reverse in part 2, and only ``b`` is
+    paid.  The empirical tester average converges to the analytic double sum."""
+    alphabet = tuple(f"o{k}" for k in range(a_basis.dimension))
+    context = born_context(born_tables(psi, a_basis, b_basis), alphabet)
+    h1, h2 = (
+        h if isinstance(h, PayoffMatrix) else PayoffMatrix(h)
+        for h in (payoff_part1, payoff_part2)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PayoffConventionWarning)
+        spec = GameSpec(
+            ("a", "b"),
+            (GamePart("a", "b", {"b": h1}), GamePart("b", "a", {"b": h2})),
+        )
     return simulate_game(spec, context, trials, seed, partitions)
 
 

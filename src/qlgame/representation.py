@@ -249,9 +249,6 @@ def born_context(tables, alphabet) -> ContextData:
 
 def _verify_round_trip(rep: QLRepresentation) -> None:
     data = rep.source
-    length = norm(rep.psi)
-    if abs(length - 1.0) > PHASE_TOL:
-        raise ValidationError(f"constructed state has norm {length:.12g}")
     born_a, born_b, trans = rep._born_tables
     worst = max(
         float(np.abs(born_b - data.marginal_b.probs).max()),

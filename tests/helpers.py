@@ -465,6 +465,21 @@ def reference_ql_average(rep, spec) -> ql.GameAverages:
     return _reference_game_averages(parts, spec.players)
 
 
+def reference_multidim_average(psi, a_basis, b_basis, h1, h2) -> float:
+    """Tester total of the n-dimensional two-part game as the double sum
+    ``sum_j sum_i h[j, i] |<psi, e_j>|^2 |<e_i, e_j>|^2`` over raw Born
+    weights: chooser basis a and payoffs ``h1`` in part 1, b and ``h2`` in
+    part 2."""
+    psi = np.asarray(psi, dtype=complex)
+    a, b = a_basis.vectors, b_basis.vectors
+    born_a = np.abs(a.conj() @ psi) ** 2
+    born_b = np.abs(b.conj() @ psi) ** 2
+    trans = np.abs(a @ b.conj().T) ** 2
+    part1 = (np.asarray(h1) * (born_a[:, None] * trans)).sum()
+    part2 = (np.asarray(h2) * (born_b[:, None] * trans.T)).sum()
+    return float(part1 + part2)
+
+
 def reference_empirical_averages(spec, report) -> ql.GameAverages:
     """Simulated averages from the report's joint counts, as relative
     frequencies ``counts / trials`` weighted by each paid player's payoff."""

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
@@ -388,6 +388,56 @@ def test_bell_scan_matches_bell_check_bitwise():
         assert bits(row) == bits(expected)
 
 
+def _bell_gap(t1, t2, t3):
+    """lhs - rhs of the correlation inequality for spin angles, whose
+    covariances are the cosines of the angle differences."""
+    return abs(math.cos(t1 - t2) - math.cos(t2 - t3)) - (1.0 - math.cos(t3 - t1))
+
+
+def _roots(gap, lo, hi, points=64):
+    """Each sign change of ``gap`` on a grid over [lo, hi], bisected down
+    to adjacent floats."""
+    grid = np.linspace(lo, hi, points + 1).tolist()
+    roots = []
+    for left, right in zip(grid, grid[1:]):
+        side = gap(left) > 0
+        if (gap(right) > 0) == side:
+            continue
+        while left < (mid := 0.5 * (left + right)) < right:
+            if (gap(mid) > 0) == side:
+                left = mid
+            else:
+                right = mid
+        roots.append(left)
+    return roots
+
+
+NEAR_BOUNDARY = st.floats(-3e-10, 3e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi), st.integers(0, 63),
+       NEAR_BOUNDARY)
+def test_bell_check_violation_implies_infeasibility_near_the_boundary(t1, t2, pick, offset):
+    roots = _roots(lambda t3: _bell_gap(t1, t2, t3), 0.0, 2.0 * math.pi)
+    assume(roots)
+    report = ql.bell_check(ql.spin_system(t1, t2, roots[pick % len(roots)] + offset))
+    assert not (report.violated and report.lp_feasible)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 63), NEAR_BOUNDARY)
+def test_bell_scan_violation_implies_infeasibility_near_the_boundary(i2, i3, pick, offset):
+    # a step that puts the grid row (0, i2 * step, i3 * step) on the
+    # boundary, with at most 12 angles per axis
+    roots = _roots(
+        lambda s: _bell_gap(0.0, i2 * s, i3 * s), math.pi / 6.0, 2.0 * math.pi / (max(i2, i3) + 1)
+    )
+    assume(roots)
+    for row in ql.bell_scan(roots[pick % len(roots)] + offset):
+        assert not (row["violated"] and row["lp_feasible"])
+
+
 @pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf, 1e-300, 5e-324])
 def test_bell_scan_refuses_bad_steps(step):
     with pytest.raises(ql.ValidationError, match="grid step"):
@@ -563,6 +613,6 @@ def test_classicality_matches_reference(parts):
         lhs, rhs = abs(cov_ab - cov_bc), 1.0 - cov_ca
         assert (report.cov_ab, report.cov_bc, report.cov_ca, report.lhs, report.rhs) == (
             cov_ab, cov_bc, cov_ca, lhs, rhs)
-        assert report.violated == (lhs > rhs + classicality.BELL_TOL)
+        assert report.violated == (lhs > rhs and not result.feasible)
         assert report.lp_feasible == result.feasible
         assert _bits(report.witness) == _bits(want)

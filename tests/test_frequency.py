@@ -306,4 +306,7 @@ def test_read_and_count_memory_bounds(tmp_path):
     assert seq.codes.tolist() == draws.tolist() or seq.codes.tolist() == (1 - draws).tolist()
     assert peak <= seq.codes.nbytes + path.stat().st_size + mib
     assert _traced_peak(ql.estimate_frequencies, seq)[1] <= 1.5 * mib
-    assert _traced_peak(ql.stabilization_report, seq, 0.1)[1] <= 3 * mib
+    # the tail differences are taken in place: one window x k array
+    stabilization_peak = _traced_peak(ql.stabilization_report, seq, 0.1)[1]
+    assert stabilization_peak <= 3 * mib
+    assert stabilization_peak <= 2 * mib

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import qlgame as ql
 import helpers
 from helpers import MATCH, MIRROR
-from qlgame.game import _basis_map_unitary, _born_game
+from qlgame.game import _basis_map_unitary
+from qlgame.representation import born_context, born_tables
 
 
 def spin_identification_discrepancy(delta: float) -> float:
@@ -399,6 +400,35 @@ def test_ql_averages_keep_their_bits(seed):
     assert _items(ql.ql_average(rep, spec)) == _items(helpers.reference_ql_average(rep, spec))
 
 
+def _renormalised_born_game(psi, a, b, h1, h2):
+    """The n-dimensional game as an ordinary game on the renormalised Born
+    context, the form that ``simulate_multidim`` plays."""
+    context = born_context(born_tables(psi, a, b), tuple(f"o{k}" for k in range(a.dimension)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ql.PayoffConventionWarning)
+        spec = ql.GameSpec(("a", "b"), (
+            ql.GamePart("a", "b", {"b": ql.PayoffMatrix(h1)}),
+            ql.GamePart("b", "a", {"b": ql.PayoffMatrix(h2)}),
+        ))
+    return spec, context
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
+def test_multidim_average_stays_near_the_renormalised_game(seed, n):
+    # raw Born weights sum to 1 only up to rounding; renormalising them
+    # moves the average by a few ulps
+    rng = np.random.default_rng(seed)
+    psi = helpers.random_unit_vector(n, rng)
+    a, b = (helpers.random_orthonormal_basis(n, rng) for _ in range(2))
+    h1, h2 = (ql.PayoffMatrix(h) for h in rng.uniform(-2.0, 2.0, size=(2, n, n)))
+    value = ql.multidim_average(psi, a, b, h1, h2)
+    assert value == helpers.reference_multidim_average(psi, a, b, h1.entries, h2.entries)
+    renormalised = helpers.reference_total_averages(
+        *_renormalised_born_game(psi, a, b, h1.entries, h2.entries))
+    assert abs(value - renormalised.totals["b"]) <= 1e-14
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5))
 def test_multidim_averages_keep_their_bits(seed, n):
@@ -406,9 +436,10 @@ def test_multidim_averages_keep_their_bits(seed, n):
     psi = helpers.random_unit_vector(n, rng)
     a, b = (helpers.random_orthonormal_basis(n, rng) for _ in range(2))
     h1, h2 = rng.uniform(-2.0, 2.0, size=(2, n, n))
-    spec, context = _born_game(psi, a, b, h1, h2)
+    assert ql.multidim_average(psi, a, b, h1, h2) == helpers.reference_multidim_average(
+        psi, a, b, h1, h2)
+    spec, context = _renormalised_born_game(psi, a, b, h1, h2)
     expected = helpers.reference_total_averages(spec, context)
-    assert ql.multidim_average(psi, a, b, h1, h2) == expected.totals["b"]
     report = ql.simulate_multidim(psi, a, b, h1, h2, trials=10**5, seed=seed)
     assert _items(report.analytic_averages) == _items(expected)
     assert _items(report.empirical_averages) == _items(
