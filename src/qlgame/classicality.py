@@ -239,30 +239,20 @@ _MOMENT_SIGNS = np.stack([_X, _Y, _Z, _X * _Y, _Y * _Z, _Z * _X])
 
 def _triple_moment_interval(moments):
     """Sign atoms of three +-1 observables whose moments ``(E a, E b, E c,
-    E ab, E bc, E ca)`` lie along the last axis of ``moments``.
+    E ab, E bc, E ca)`` lie along the last axis of ``moments``, and the
+    k = 2 feasibility decision.
 
     Every joint has ``8 p(x, y, z) = base(x, y, z) + t x y z`` with the
     triple moment ``t = E[abc]`` as its one free parameter, so a joint
     exists iff some ``t`` in ``[lo, hi]`` keeps all 8 atoms nonnegative,
-    i.e. iff ``lo <= hi`` (Suppes & Zanotti 1981; Fine 1982).  Leading axes
-    are kept; ``base`` gains a trailing axis of 8 atoms.
+    i.e. iff ``lo <= hi`` (Suppes & Zanotti 1981; Fine 1982), decided here
+    within ``FEASIBILITY_TOL``.  Leading axes are kept; ``base`` gains a
+    trailing axis of 8 atoms.
     """
     base = 1.0 + moments @ _MOMENT_SIGNS
     lo = (-base[..., _XYZ > 0]).max(axis=-1)
     hi = base[..., _XYZ < 0].min(axis=-1)
-    return base, lo, hi
-
-
-def _sign_atom_witness(tables: np.ndarray) -> np.ndarray | None:
-    """Closed-form k = 2 decision from the stacked joints ab, bc, ca: the
-    atoms at the midpoint of the admissible triple-moment interval, or None
-    when it is empty."""
-    means = tables.sum(axis=2) @ _SIGNS  # a, b, c: chooser-first rows
-    covs = _SIGNS @ tables @ _SIGNS
-    base, lo, hi = _triple_moment_interval(np.concatenate((means, covs)))
-    if lo > hi + FEASIBILITY_TOL:
-        return None
-    return (base + 0.5 * (lo + hi) * _XYZ) / 8.0
+    return base, lo, hi, lo <= hi + FEASIBILITY_TOL
 
 
 def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
@@ -272,19 +262,17 @@ def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
     feasibility by the phase-1 simplex (the atom count is exponential in
     the number of observables, fine for three)."""
     k = len(system.alphabet)
-    A = _pairwise_constraints(k)
     # chooser-first: the rows of joint_ca are indexed by c
     tables = np.array((system.joint_ab.entries, system.joint_bc.entries, system.joint_ca.entries))
-    b = np.append(tables, 1.0)
     if k == 2:
-        x = _sign_atom_witness(tables)
-        # held to the simplex's tolerance, so both paths accept the same witnesses
-        if x is not None and (
-            np.abs(A @ x - b).max() > FEASIBILITY_TOL or x.min() < -FEASIBILITY_TOL
-        ):
-            x = None
+        means = tables.sum(axis=2) @ _SIGNS  # a, b, c: chooser-first rows
+        covs = _SIGNS @ tables @ _SIGNS
+        base, lo, hi, feasible = _triple_moment_interval(np.concatenate((means, covs)))
+        # lo - hi <= FEASIBILITY_TOL keeps each midpoint atom >= -FEASIBILITY_TOL / 16,
+        # and the atoms reproduce the joints up to PairwiseSystem's marginal slack
+        x = (base + 0.5 * (lo + hi) * _XYZ) / 8.0 if feasible else None
     else:
-        x = _phase1_simplex(A, b, FEASIBILITY_TOL)
+        x = _phase1_simplex(_pairwise_constraints(k), np.append(tables, 1.0), FEASIBILITY_TOL)
     if x is None:
         return FeasibilityResult(feasible=False, witness=None)
     return FeasibilityResult(feasible=True, witness=x.reshape((k, k, k)))
@@ -350,8 +338,7 @@ def bell_scan(step: float) -> Iterator[dict]:
         # uniform marginals: the row sums of both rows of each joint are
         # the same two numbers, so the means are exactly 0
         moments = np.stack(np.broadcast_arrays(0.0, 0.0, 0.0, cov_ab, cov, cov_ca), axis=-1)
-        _, lo, hi = _triple_moment_interval(moments)
-        feasible = lo <= hi + FEASIBILITY_TOL
+        *_, feasible = _triple_moment_interval(moments)
         violated = (lhs > rhs) & ~feasible
         lhs_rows, rhs_row = lhs.tolist(), rhs.tolist()
         violated_rows, feasible_rows = violated.tolist(), feasible.tolist()

@@ -15,6 +15,7 @@ replaces the previous one only once it is complete.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import math
@@ -178,13 +179,15 @@ def _cmd_feasibility(args) -> dict:
         system = classicality.spin_system(*_parse_thetas(args.thetas))
     else:
         system = _system_from_json(_load_json(args.input))
+    keys = list(map("".join, itertools.product(system.alphabet, repeat=3)))
+    for key, count in collections.Counter(keys).items():
+        if count > 1:
+            raise ValidationError(
+                f"outcome labels run together: witness key {key!r} names {count} atoms")
     result = classicality.joint_feasibility(system)
     out = {"feasible": result.feasible, "witness": None}
     if result.witness is not None:
-        out["witness"] = dict(zip(
-            map("".join, itertools.product(system.alphabet, repeat=3)),
-            result.witness.ravel().tolist(),
-        ))
+        out["witness"] = dict(zip(keys, result.witness.ravel().tolist()))
     return out
 
 

@@ -259,9 +259,31 @@ def _assert_closed_form_matches_simplex(system: ql.PairwiseSystem) -> bool:
     return result.feasible
 
 
+def _pulled(joint: np.ndarray, rng) -> np.ndarray:
+    """``joint`` plus a zero-total shift whose row and column sums reach up
+    to 0.95 PROB_TOL, inside the marginal slack PairwiseSystem admits."""
+    shift = rng.uniform(-1.0, 1.0, joint.shape)
+    shift -= shift.mean()
+    slack = max(np.abs(shift.sum(axis=0)).max(), np.abs(shift.sum(axis=1)).max())
+    return joint + shift * (rng.uniform(0.0, 0.95) * PROB_TOL / slack)
+
+
 def test_closed_form_matches_simplex_dirichlet(rng):
     for _ in range(200):
         system = _atom_system(rng.dirichlet(np.ones(8)).reshape(2, 2, 2))
+        assert _assert_closed_form_matches_simplex(system)
+    # the same joints with their marginals pulled apart by up to ~PROB_TOL:
+    # the midpoint witness still reproduces them within FEASIBILITY_TOL
+    for _ in range(200):
+        atoms = rng.dirichlet(np.ones(8)).reshape(2, 2, 2)
+        exact = (atoms.sum(axis=2), atoms.sum(axis=0), atoms.sum(axis=1).T)
+        system = ql.PairwiseSystem(
+            *(ql.Distribution(joint.sum(axis=1)) for joint in exact),
+            *(
+                ql.JointTable(tuple(xy), _pulled(joint, rng))
+                for xy, joint in zip(("ab", "bc", "ca"), exact)
+            ),
+        )
         assert _assert_closed_form_matches_simplex(system)
 
 
@@ -275,9 +297,33 @@ def test_closed_form_matches_simplex_twisted(rng):
     assert any(verdicts) and not all(verdicts)
 
 
-def test_closed_form_matches_simplex_on_grid():
+def _boundary_spin_system(rng) -> ql.PairwiseSystem:
+    """Spin system with theta3 bisected onto the boundary |cov_ab - cov_bc| =
+    1 - cov_ca of the correlation inequality, then moved by up to 3e-10."""
+
+    def violated(t1, t2, t3):
+        return abs(math.cos(t1 - t2) - math.cos(t2 - t3)) > 1.0 - math.cos(t3 - t1)
+
+    while True:
+        t1, t2, lo, hi = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        if violated(t1, t2, lo) != violated(t1, t2, hi):
+            break
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if violated(t1, t2, mid) == violated(t1, t2, lo):
+            lo = mid
+        else:
+            hi = mid
+    return ql.spin_system(t1, t2, lo + rng.uniform(-3e-10, 3e-10))
+
+
+def test_closed_form_matches_simplex_on_grid(rng):
     # the pi/12 grid puts many points on the boundary lo == hi of the
-    # triple-moment interval, where only the tolerance absorbs the rounding
+    # triple-moment interval, where only the tolerance absorbs the rounding;
+    # the bisected triples sit up to 3e-10 off it, where the midpoint
+    # atoms come closest to -FEASIBILITY_TOL / 16
+    for _ in range(500):
+        _assert_closed_form_matches_simplex(_boundary_spin_system(rng))
     step = math.pi / 12.0
     angles = [k * step for k in range(24)]
     unif = ql.uniform_distribution()

@@ -399,6 +399,20 @@ def test_feasibility_witness_keys_follow_the_file_alphabet(capsys, tmp_path):
             {k: v for k, v in UNIFORM_SYSTEM.items() if k != "joint_ca"},
             "pairwise system is missing field 'joint_ca'",
         ),
+        # witness keys join three labels with no separator, so these
+        # alphabets would give one key to several atoms
+        (
+            dict(UNIFORM_SYSTEM, alphabet=["x", "xx"]),
+            "outcome labels run together: witness key 'xxxx' names 3 atoms",
+        ),
+        (
+            dict(
+                {f"marginal_{x}": [1 / 3] * 3 for x in "abc"},
+                **{f"joint_{xy}": [[1 / 9] * 3] * 3 for xy in ("ab", "bc", "ca")},
+                alphabet=["a", "ab", "b"],
+            ),
+            "outcome labels run together: witness key 'abab' names 2 atoms",
+        ),
     ],
 )
 def test_feasibility_refuses_malformed_system(capsys, tmp_path, doc, message):
