@@ -6,10 +6,11 @@ Exit status: 0 on success, 1 on a domain error (validation failure,
 hyperbolic context, ...), 2 on usage or I/O errors, including input files
 that are not UTF-8 or not JSON and a failed write to stdout or
 ``--output`` (a full disk, a closed pipe).  Every failure prints one
-``error:`` line and no traceback.  Every result is written as a sequence
-of text pieces: one JSON document, or the ``bell`` CSV line by line as it
-is computed.  Refusals come before any output, and an ``--output`` file
-replaces the previous one only once it is complete.
+``error:`` line and no traceback; a payoff sign advisory prints one
+``warning:`` line and leaves the exit status as it is.  Every result is
+written as a sequence of text pieces: one JSON document, or the ``bell``
+CSV line by line as it is computed.  Refusals come before any output, and
+an ``--output`` file replaces the previous one only once it is complete.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import stat
 import sys
 import uuid
+import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -312,16 +314,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        pieces = _render(args.func(args))
-        if args.output:
-            _write_output(Path(args.output), pieces)
-        else:
-            sys.stdout.writelines(pieces)
-            sys.stdout.flush()
-    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1 if isinstance(exc, ValidationError) else 2
+    with warnings.catch_warnings():
+        # the payoff sign advisory is one stderr line and never an error
+        warnings.simplefilter("always", game.PayoffConventionWarning)
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            pieces = _render(args.func(args))
+            if args.output:
+                _write_output(Path(args.output), pieces)
+            else:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+        except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1 if isinstance(exc, ValidationError) else 2
     return 0
 
 

@@ -105,22 +105,19 @@ class GameSpec:
 
 def _warn_on_sign_convention(k: int, part: GamePart) -> None:
     # Natural convention: the tester gains on the diagonal (correct answer)
-    # and loses off it; the chooser is reversed.  Advisory only.
+    # and loses off it; the chooser is reversed, so its matrix is negated.
+    # Advisory only, and it names the line that built the GameSpec.
+    roles = {part.tester: ("tester", 1.0), part.chooser: ("chooser", -1.0)}
     for player, matrix in part.payoffs.items():
-        h = matrix.entries
-        diag = np.diag(h)
-        off = h[~np.eye(h.shape[0], dtype=bool)]
-        if player == part.tester and (np.any(diag < 0) or np.any(off > 0)):
+        if player not in roles:
+            continue
+        role, sign = roles[player]
+        h = sign * matrix.entries
+        if np.any(np.diag(h) < 0) or np.any(h[~np.eye(len(h), dtype=bool)] > 0):
             warnings.warn(
-                f"part {k}: tester {player!r} payoff signs look inverted",
+                f"part {k}: {role} {player!r} payoff signs look inverted",
                 PayoffConventionWarning,
-                stacklevel=3,
-            )
-        if player == part.chooser and (np.any(diag > 0) or np.any(off < 0)):
-            warnings.warn(
-                f"part {k}: chooser {player!r} payoff signs look inverted",
-                PayoffConventionWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
 
 

@@ -97,12 +97,6 @@ class OrthonormalBasis:
     def dimension(self) -> int:
         return self.vectors.shape[0]
 
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.vectors[k]
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
 
 def delta_basis(n: int) -> OrthonormalBasis:
     """The standard basis of size n; one shared, read-only instance per size."""

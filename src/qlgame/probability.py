@@ -118,9 +118,6 @@ class Distribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "alphabet", labels)
 
-    def prob(self, label: str) -> float:
-        return float(self.probs[self.alphabet.index(label)])
-
 
 def uniform_distribution(alphabet: tuple[str, ...] = ALPHABET) -> Distribution:
     n = len(alphabet)
@@ -140,13 +137,6 @@ class TransitionMatrix:
         )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "alphabet", labels)
-
-    def prob(self, result: str, given: str) -> float:
-        return float(self.rows[self.alphabet.index(given), self.alphabet.index(result)])
-
-    @property
-    def doubly_stochastic(self) -> bool:
-        return bool(np.max(np.abs(self.rows.sum(axis=0) - 1.0)) <= PROB_TOL)
 
 
 @dataclass(frozen=True)
@@ -271,11 +261,6 @@ class JointTable:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "order", tuple(self.order))
         object.__setattr__(self, "alphabet", labels)
-
-    def prob(self, first: str, second: str) -> float:
-        i = self.alphabet.index(first)
-        j = self.alphabet.index(second)
-        return float(self.entries[i, j])
 
 
 def joint_distribution(

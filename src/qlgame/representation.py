@@ -118,6 +118,7 @@ def interference_coefficients(data: ContextData) -> np.ndarray:
 
 
 def _zero_entry_message(data: ContextData) -> str:
+    # called only when R2 fails, so some entry of these nan-free tables is <= 0
     for name, values in (
         ("marginal_a", data.marginal_a.probs),
         ("marginal_b", data.marginal_b.probs),
@@ -131,7 +132,6 @@ def _zero_entry_message(data: ContextData) -> str:
                 f"strict positivity (R2) violated: {name} entry {idx} is "
                 f"{flat[idx]:.12g}"
             )
-    return "strict positivity (R2) violated"
 
 
 def classify_context(lambdas) -> str:

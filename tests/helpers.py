@@ -443,11 +443,16 @@ def reference_total_averages(spec, contexts) -> ql.GameAverages:
 
 
 def reference_ql_average(rep, spec) -> ql.GameAverages:
-    """State-space averages from one Born probability per basis vector and
-    the squared inner products of the two bases."""
+    """State-space averages from the Born probability |<psi, e>|^2 of each
+    basis vector and the squared inner products of the two bases, written
+    out in numpy.  ``np.vdot``, the complex modulus and ``** 2`` each round
+    as the library does: ``@`` or ``np.abs`` in their place differ in the
+    last bit for about half of all contexts."""
     psi = rep.psi
-    born_a = np.array([ql.born_probability(psi, v) for v in rep.a_basis.vectors])
-    born_b = np.array([ql.born_probability(psi, v) for v in rep.b_basis.vectors])
+    born_a, born_b = (
+        np.array([abs(complex(np.vdot(e, psi))) ** 2 for e in basis.vectors])
+        for basis in (rep.a_basis, rep.b_basis)
+    )
     trans = np.abs(rep.a_basis.vectors @ rep.b_basis.vectors.conj().T) ** 2
     first, second = spec.players
     parts = []

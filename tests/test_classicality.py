@@ -71,7 +71,7 @@ def test_spin_transition_matrix_properties(rng):
     for _ in range(50):
         ti, tj = rng.uniform(0.0, 2.0 * math.pi, size=2)
         m = ql.spin_transition_matrix(ti, tj)
-        assert m.doubly_stochastic
+        assert np.abs(m.rows.sum(axis=0) - 1.0).max() <= PROB_TOL
         assert np.allclose(m.rows, m.rows.T)
         assert np.all(m.rows >= 0.0) and np.all(m.rows <= 1.0)
 
@@ -507,6 +507,32 @@ def test_spin_angles_whose_difference_overflows_are_accepted():
     # 1e308 - (-1e308) overflows, but the half angles subtract to a finite 1e308
     system = ql.spin_system(1e308, -1e308, 0.0)
     assert ql.bell_check(system).cov_ab == pytest.approx(2.0 * math.cos(1e308) ** 2 - 1.0, abs=1e-12)
+
+
+def _three_outcome_system():
+    third = ql.uniform_distribution(("F", "I", "S"))
+    return ql.PairwiseSystem(third, third, third, *(
+        ql.JointTable(order, np.full((3, 3), 1.0 / 9.0), third.alphabet)
+        for order in (("a", "b"), ("b", "c"), ("c", "a"))
+    ))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ql.spin_transition_matrix(math.nan, 0.0), "angles must be finite"),
+        (lambda: ql.spin_system(0.0, math.inf, 0.0), "angles must be finite"),
+        (lambda: ql.covariance(_three_outcome_system().joint_ab),
+         "covariance requires a dichotomous joint table"),
+        (lambda: ql.bell_check(_three_outcome_system()),
+         "covariance requires a dichotomous joint table"),
+    ],
+    ids=["nan-angle", "inf-angle", "covariance-k3", "bell-check-k3"],
+)
+def test_classicality_refusal_messages(call, message):
+    with pytest.raises(ql.ValidationError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def _pairwise_parts(marginal_a=None, marginal_b=None, marginal_c=None, ab=None, bc=None, ca=None):

@@ -10,7 +10,9 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -275,6 +277,35 @@ def test_overflow_and_underflow_refusals_print_one_line(capsys, tmp_path, game_f
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bell", "--thetas", "nan,0,0"], "angles must be finite"),
+    (["bell", "--thetas", "0,1"], "expected three comma-separated angles, got '0,1'"),
+    (["bell", "--thetas", "0,x,1"],
+     "bad angle in '0,x,1': could not convert string to float: 'x'"),
+    (["feasibility", "--input", "system", "--thetas", "0,0,0"],
+     "pass exactly one of --input or --thetas"),
+    (["feasibility"], "pass exactly one of --input or --thetas"),
+    (["average", "--ql", "--game", "game", "--context", "pairs"],
+     "--ql applies to two-player single-context games"),
+    (["average", "--game", "game3", "--context", "d1"],
+     "a single context only covers a two-player game; pass a mapping of "
+     "(chooser, tester) pairs to contexts"),
+], ids=["nan-angle", "two-angles", "bad-angle", "input-and-thetas", "neither",
+        "ql-with-pairs", "single-context-three-players"])
+def test_argument_refusals_print_one_line(capsys, tmp_path, argv, message):
+    docs = {
+        "system": UNIFORM_SYSTEM,
+        "game": _game_doc(),
+        "pairs": {"pairs": [{"chooser": "a", "tester": "b", "context": helpers.D1_RAW}]},
+        "game3": helpers.game_to_json(helpers.three_player_spin_spec()),
+        "d1": helpers.D1_RAW,
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = run(capsys, *[tmp_path / a if a in docs else a for a in argv])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def _assert_single_error(code, out, err, out_path):
     assert code == 1
     assert out == ""
@@ -488,13 +519,36 @@ def _drop(mapping, key):
             lambda doc: doc["parts"][1]["payoffs"].update(a=[[0.0]]),
             "error: part 1 payoff matrices differ in shape: [(2, 2), (1, 1)]\n",
         ),
+        (
+            lambda doc: doc["parts"][0]["payoffs"].update(b=[[1, -1, 0], [-1, 1, 0]]),
+            "error: part 0 payoff 'b': payoff matrix must be square, got (2, 3)\n",
+        ),
+        (
+            lambda doc: doc["parts"][0].update(tester="a"),
+            "error: part has identical chooser and tester 'a'\n",
+        ),
+        (lambda doc: doc.update(players=["a"]), "error: roster must have 2 or 3 players\n"),
+        (
+            lambda doc: doc.update(players=["a", "b", "c", "d"]),
+            "error: roster must have 2 or 3 players\n",
+        ),
+        (lambda doc: doc.update(players=["a", "a"]), "error: player names must be distinct\n"),
+        (
+            lambda doc: doc["parts"][1].update(chooser="z"),
+            "error: part 1 references unknown player 'z'\n",
+        ),
+        (
+            lambda doc: doc["parts"][0]["payoffs"].update(z=[[1, -1], [-1, 1]]),
+            "error: part 0 pays unknown player 'z'\n",
+        ),
     ],
     ids=[
         "non-numeric-payoff", "ragged-payoff", "players-string", "payoffs-list",
         "zero-sum-string", "zero-sum-number", "game-list", "parts-dict", "parts-string",
         "part-int", "no-parts", "no-players", "no-chooser", "no-tester", "no-payoffs",
         "chooser-list", "tester-null", "player-int", "zero-sum-shapes-2-3",
-        "zero-sum-shapes-2-1",
+        "zero-sum-shapes-2-1", "non-square-payoff", "chooser-is-tester", "roster-1",
+        "roster-4", "repeated-player", "unknown-chooser", "unknown-payee",
     ],
 )
 def test_malformed_game_is_a_domain_error(capsys, d1_file, tmp_path, command, mutate, message):
@@ -564,6 +618,22 @@ def test_malformed_pairs_file_is_a_domain_error(capsys, tmp_path, command, doc, 
     )
     _assert_single_error(code, out, err, out_path)
     assert err.startswith(message)
+
+
+def test_payoff_sign_advisory_is_one_warning_line_under_an_error_filter(capsys, d1_file, tmp_path):
+    game_path = tmp_path / "inverted.json"
+    game_path.write_text(json.dumps({
+        "players": ["alice", "bob"],
+        "parts": [{"chooser": "alice", "tester": "bob", "payoffs": {"bob": [[-1, 1], [1, -1]]}}],
+    }))
+    results = []
+    for action in ("ignore", "error"):  # as under python -W ignore or -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            results.append(run(capsys, "average", "--game", game_path, "--context", d1_file))
+    advisory = "warning: part 0: tester 'bob' payoff signs look inverted\n"
+    assert results[1] == results[0] == (0, results[0][1], advisory)
+    assert json.loads(results[1][1])["totals"] == {"alice": 0.0, "bob": -0.5}
 
 
 def test_simulate_deterministic(capsys, d1_file, game_file):
@@ -759,6 +829,23 @@ def test_output_through_a_symlink_keeps_link_and_mode(capsys, d1_file, tmp_path)
     assert link.is_symlink() and stat.S_IMODE(target.stat().st_mode) == 0o600
     assert json.loads(target.read_text())["classification"] == "trigonometric"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.json", "link.json", "rep.json"]
+
+
+def test_output_to_a_fifo_is_written_in_place(capsys, d1_file, tmp_path):
+    # a target that is not a regular file is opened and written, never replaced
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, err = run(capsys, "validate", "--input", d1_file, "--output", fifo)
+    reader.join(timeout=30)
+    if reader.is_alive():  # nothing opened the FIFO: release the reader
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert (code, out, err) == (0, "", "")
+    assert received == [run(capsys, "validate", "--input", d1_file)[1].encode()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert list(tmp_path.glob(".*.tmp")) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors")

@@ -15,14 +15,14 @@ from qlgame.frequency import TrialSequence, read_sequence
 
 def test_estimate_counts():
     freqs = ql.estimate_frequencies(ql.TrialSequence(("F", "F", "I", "F")))
-    assert freqs.prob("F") == 0.75
-    assert freqs.prob("I") == 0.25
+    assert freqs.probs[0] == 0.75
+    assert freqs.probs[1] == 0.25
 
 
 def test_estimate_alternating():
     seq = ql.TrialSequence(("F", "I") * 500)
     freqs = ql.estimate_frequencies(seq)
-    assert freqs.prob("F") == 0.5
+    assert freqs.probs[0] == 0.5
 
 
 def test_estimate_empty_errors():
@@ -94,8 +94,8 @@ def test_running_frequencies_prefixes():
 def test_conditional_frequencies_filter():
     pairs = [("F", "F"), ("F", "I"), ("I", "I"), ("F", "F"), ("I", "F")]
     cond = ql.conditional_frequencies(pairs, given="F")
-    assert cond.prob("F") == pytest.approx(2 / 3)
-    assert cond.prob("I") == pytest.approx(1 / 3)
+    assert cond.probs[0] == pytest.approx(2 / 3)
+    assert cond.probs[1] == pytest.approx(1 / 3)
 
 
 @pytest.mark.parametrize("pairs", [[("F", "F"), ("F", "I")], []])
@@ -112,7 +112,7 @@ def test_generator_agreement_bound():
     gen = ql.GeneratorSpec(ql.Distribution([p, 1 - p]), "biased")
     seq = ql.sample_outcomes(gen, n, ql.stream_rng(99, gen.stream_id))
     freqs = ql.estimate_frequencies(seq)
-    assert abs(freqs.prob("F") - p) <= 4.0 * np.sqrt(p * (1 - p) / n)
+    assert abs(freqs.probs[0] - p) <= 4.0 * np.sqrt(p * (1 - p) / n)
 
 
 def test_read_sequence_from_lines(tmp_path):

@@ -74,11 +74,40 @@ def test_zero_sum_check_refuses_overflowing_cell_sums_without_a_warning():
 
 
 def test_payoff_convention_warning():
-    with pytest.warns(ql.PayoffConventionWarning):
+    # one rule for both roles: the chooser's matrix is the tester's negated
+    with pytest.warns(ql.PayoffConventionWarning) as record:
         ql.GameSpec(
             ("alice", "bob"),
-            (ql.GamePart("alice", "bob", {"bob": MIRROR}),),  # tester loses on match
+            # tester loses on match, chooser gains on it
+            (ql.GamePart("alice", "bob", {"bob": MIRROR, "alice": MATCH}),),
         )
+    assert [str(w.message) for w in record] == [
+        "part 0: tester 'bob' payoff signs look inverted",
+        "part 0: chooser 'alice' payoff signs look inverted",
+    ]
+    assert {w.filename for w in record} == {__file__}  # the caller's line
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d1: ql.total_averages(helpers.three_player_spin_spec(), d1),
+         "a single context only covers a two-player game; pass a mapping of "
+         "(chooser, tester) pairs to contexts"),
+        (lambda d1: ql.ql_average(ql.build_representation(d1), helpers.three_player_spin_spec()),
+         "QL averages are defined for two-player games"),
+        (lambda d1: ql.three_player_representations({("a", "b"): d1, ("b", "a"): d1}),
+         "need exactly 3 pair contexts, got 2"),
+        (lambda d1: ql.three_player_representations(
+            {("a", "b"): d1, ("b", "c"): d1, ("c", "d"): d1}),
+         "pair keys [('a', 'b'), ('b', 'c'), ('c', 'd')] do not close into a cycle"),
+    ],
+    ids=["single-context-three-players", "ql-three-players", "two-pairs", "open-chain"],
+)
+def test_game_refusal_messages(d1, call, message):
+    with pytest.raises(ql.ValidationError) as info:
+        call(d1)
+    assert str(info.value) == message
 
 
 def test_game_averages_totals_sum_parts(d1):

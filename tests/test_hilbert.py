@@ -36,8 +36,8 @@ def test_inner_product_dimension_mismatch():
 
 def test_born_probability_extremes():
     basis = ql.delta_basis(2)
-    assert ql.born_probability(basis[0], basis[0]) == pytest.approx(1.0)
-    assert ql.born_probability(basis[0], basis[1]) == 0.0
+    assert ql.born_probability(basis.vectors[0], basis.vectors[0]) == pytest.approx(1.0)
+    assert ql.born_probability(basis.vectors[0], basis.vectors[1]) == 0.0
 
 
 def test_born_probability_rejects_non_unit():
@@ -67,7 +67,7 @@ def test_born_probability_refusal_messages(state, basis_vector, message):
 
 def test_born_probability_d1_amplitude(d1):
     rep = ql.build_representation(d1)
-    assert ql.born_probability(rep.psi, rep.b_basis[0]) == pytest.approx(0.5, abs=1e-12)
+    assert ql.born_probability(rep.psi, rep.b_basis.vectors[0]) == pytest.approx(0.5, abs=1e-12)
     assert abs(ql.inner_product(rep.psi, rep.psi) - 1) < 1e-12
 
 
@@ -79,14 +79,14 @@ def test_expand_in_delta_basis(rng):
 
 def test_expand_d1_b_vector_in_a_basis(d1):
     rep = ql.build_representation(d1)
-    coeffs = ql.expand_in_basis(rep.b_basis[0], rep.a_basis)
+    coeffs = ql.expand_in_basis(rep.b_basis.vectors[0], rep.a_basis)
     assert abs(coeffs[0]) ** 2 == pytest.approx(0.75, abs=1e-12)
     assert abs(coeffs[1]) ** 2 == pytest.approx(0.25, abs=1e-12)
 
 
 def test_expand_basis_vector_in_own_basis(rng):
     basis = helpers.random_orthonormal_basis(3, rng)
-    coeffs = ql.expand_in_basis(basis[1], basis)
+    coeffs = ql.expand_in_basis(basis.vectors[1], basis)
     assert np.allclose(coeffs, [0.0, 1.0, 0.0], atol=1e-10)
 
 
@@ -149,10 +149,15 @@ def test_norm_helper():
          "basis vector has norm inf, expected 1"),
         (lambda: born_tables(np.array([1e300, 1e300]), ql.delta_basis(2), ql.delta_basis(2)),
          "psi has norm inf, expected 1"),
+        # each square is finite, their sum is not
+        (lambda: ql.multidim_average([1.2e154, 1.2e154], ql.delta_basis(2), ql.delta_basis(2),
+                                     np.eye(2), np.eye(2)),
+         "psi has norm inf, expected 1"),
         (lambda: ql.OrthonormalBasis([[1e300, 0.0], [0.0, 1.0]]), "vectors are not orthonormal"),
         (lambda: ql.OrthonormalBasis([[0.0, 1.0], [1j * 1e300, 0.0]]), "vectors are not orthonormal"),
     ],
-    ids=["born-state", "born-basis-vector", "born-tables", "basis", "basis-imaginary"],
+    ids=["born-state", "born-basis-vector", "born-tables", "multidim-square-sum", "basis",
+         "basis-imaginary"],
 )
 def test_overflowing_input_is_refused_without_warning(call, message):
     with warnings.catch_warnings():
@@ -177,6 +182,22 @@ def test_overflowing_input_is_refused_without_warning(call, message):
 def test_empty_bases_are_refused(call, message):
     with pytest.raises(HilbertError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ql.OrthonormalBasis(np.ones((2, 3))),
+         "expected n vectors of dimension n, got (2, 3)"),
+        (lambda: ql.expand_in_basis([1.0, 0.0, 0.0], ql.delta_basis(2)),
+         "dimension mismatch: 3 vs 2"),
+    ],
+    ids=["non-square-basis", "expansion-dimension"],
+)
+def test_basis_shape_refusal_messages(call, message):
+    with pytest.raises(HilbertError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_delta_basis_is_shared_and_read_only():

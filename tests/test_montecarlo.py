@@ -45,7 +45,7 @@ def test_sample_outcome_fair_coin_bound():
     gen = ql.GeneratorSpec(ql.uniform_distribution(), "g_b")
     seq = ql.sample_outcomes(gen, 10**6, ql.stream_rng(42, gen.stream_id))
     freq = ql.estimate_frequencies(seq)
-    assert abs(freq.prob("F") - 0.5) <= 0.002  # 4 sigma at N = 1e6
+    assert abs(freq.probs[0] - 0.5) <= 0.002  # 4 sigma at N = 1e6
 
 
 def test_stream_rng_distinct_streams():
@@ -160,9 +160,9 @@ def test_frequency_agreement_with_generator(d1):
     n = 10**6
     seq = ql.sample_outcomes(gen, n, ql.stream_rng(17, gen.stream_id))
     freq = ql.estimate_frequencies(seq)
-    for label in ("F", "I"):
-        p = d1.marginal_a.prob(label)
-        assert abs(freq.prob(label) - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+    for k in range(2):
+        p = d1.marginal_a.probs[k]
+        assert abs(freq.probs[k] - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
 
 
 def test_simulate_multidim_matches_analytic(rng):
@@ -406,6 +406,20 @@ def test_simulation_refuses_non_integer_arguments(d1, rng, name, value):
         with pytest.raises(ql.ValidationError) as info:
             run()
         assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("name", ["trials", "partitions"])
+def test_simulation_refuses_zero_counts(d1, rng, name):
+    basis = helpers.random_orthonormal_basis(2, rng)
+    args = {"trials": 10, "seed": 1, "partitions": 1, name: 0}
+    runs = (
+        lambda: ql.simulate_game(helpers.zero_sum_spec(), d1, **args),
+        lambda: ql.simulate_multidim(np.array([1.0, 0.0]), basis, basis, np.eye(2), np.eye(2), **args),
+    )
+    for run in runs:
+        with pytest.raises(ql.ValidationError) as info:
+            run()
+        assert str(info.value) == f"{name} must be at least 1"
 
 
 def test_simulation_accepts_numpy_integers(d1):

@@ -17,7 +17,7 @@ probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 def test_validate_d1(d1):
     assert d1.r1_symmetric
     assert d1.r2_positive
-    assert d1.marginal_a.prob("F") == pytest.approx(1 / 3, abs=1e-15)
+    assert d1.marginal_a.probs[0] == pytest.approx(1 / 3, abs=1e-15)
 
 
 def test_validate_rejects_bad_row_sum():
@@ -73,10 +73,10 @@ def test_asymmetric_transitions_flag_r1_false():
 
 def test_joint_distribution_d1(d1):
     joint = ql.joint_distribution(d1.marginal_a, d1.trans_b_given_a)
-    assert joint.prob("F", "F") == pytest.approx(1 / 4, abs=1e-15)
-    assert joint.prob("F", "I") == pytest.approx(1 / 12, abs=1e-15)
-    assert joint.prob("I", "F") == pytest.approx(1 / 6, abs=1e-15)
-    assert joint.prob("I", "I") == pytest.approx(1 / 2, abs=1e-15)
+    assert joint.entries[0, 0] == pytest.approx(1 / 4, abs=1e-15)
+    assert joint.entries[0, 1] == pytest.approx(1 / 12, abs=1e-15)
+    assert joint.entries[1, 0] == pytest.approx(1 / 6, abs=1e-15)
+    assert joint.entries[1, 1] == pytest.approx(1 / 2, abs=1e-15)
 
 
 def test_joint_distribution_identity_matrix():
@@ -182,8 +182,8 @@ def test_joint_sums_to_one_and_reproduces_first_marginal(p, q, r):
 def test_r1_implies_doubly_stochastic(q):
     ctx = helpers.symmetric_context(0.4, q, 0.6)
     assert ctx.r1_symmetric
-    assert ctx.trans_b_given_a.doubly_stochastic
-    assert ctx.trans_a_given_b.doubly_stochastic
+    assert np.abs(ctx.trans_b_given_a.rows.sum(axis=0) - 1.0).max() <= PROB_TOL
+    assert np.abs(ctx.trans_a_given_b.rows.sum(axis=0) - 1.0).max() <= PROB_TOL
 
 
 @given(q=st.floats(0.0, 1.0))
@@ -247,6 +247,25 @@ def test_joint_sum_error_names_deviation():
 def test_table_errors_name_the_value(build, message):
     with pytest.raises(ql.ValidationError, match=message):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda d1: ql.ContextData(
+            d1.marginal_a, ql.Distribution(d1.marginal_b.probs, ("x", "y")),
+            d1.trans_b_given_a, d1.trans_a_given_b),
+         "all components must share one outcome alphabet"),
+        (lambda d1: ql.joint_distribution(
+            d1.marginal_a, ql.TransitionMatrix(d1.trans_b_given_a.rows, ("x", "y"))),
+         "marginal and transition matrix use different alphabets"),
+    ],
+    ids=["context", "joint"],
+)
+def test_mixed_alphabets_are_refused(d1, build, message):
+    with pytest.raises(ql.ValidationError) as info:
+        build(d1)
+    assert str(info.value) == message
 
 
 def test_distribution_refuses_repeated_label():

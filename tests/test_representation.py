@@ -194,10 +194,10 @@ def test_build_representation_refuses_three_outcomes():
 
 def test_a_basis_orthonormal_and_transitions(d1):
     rep = ql.build_representation(d1)
-    assert abs(ql.inner_product(rep.a_basis[0], rep.a_basis[1])) < 1e-12
+    assert abs(ql.inner_product(rep.a_basis.vectors[0], rep.a_basis.vectors[1])) < 1e-12
     for alpha in range(2):
         for beta in range(2):
-            overlap = abs(ql.inner_product(rep.b_basis[beta], rep.a_basis[alpha])) ** 2
+            overlap = abs(ql.inner_product(rep.b_basis.vectors[beta], rep.a_basis.vectors[alpha])) ** 2
             assert overlap == pytest.approx(
                 d1.trans_b_given_a.rows[alpha, beta], abs=1e-12
             )
@@ -207,8 +207,8 @@ def test_state_is_superposition_of_a_basis(d1):
     # psi = sqrt(p_a(1)) e_1^a + sqrt(p_a(2)) e_2^a
     rep = ql.build_representation(d1)
     rebuilt = (
-        math.sqrt(d1.marginal_a.probs[0]) * rep.a_basis[0]
-        + math.sqrt(d1.marginal_a.probs[1]) * rep.a_basis[1]
+        math.sqrt(d1.marginal_a.probs[0]) * rep.a_basis.vectors[0]
+        + math.sqrt(d1.marginal_a.probs[1]) * rep.a_basis.vectors[1]
     )
     assert np.max(np.abs(rebuilt - rep.psi)) < 1e-12
 
@@ -265,6 +265,15 @@ def test_born_tables_refusals(psi, match):
     basis = ql.delta_basis(2)
     with pytest.raises(ql.ValidationError, match=match):
         born_tables(psi, basis, basis)
+
+
+def test_round_trip_refuses_phases_that_miss_the_data(d1, monkeypatch):
+    select = representation._select_phases
+    # d1's rows are doubly stochastic, so psi keeps norm 1 under any theta_1
+    monkeypatch.setattr(representation, "_select_phases", lambda lambdas: select(lambdas) + 0.5)
+    with pytest.raises(ql.ValidationError) as info:
+        ql.build_representation(d1)
+    assert str(info.value) == "representation fails the probability round-trip by 0.202"
 
 
 def test_lambda_antisymmetry_under_r1(rng):
