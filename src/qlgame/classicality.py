@@ -20,16 +20,17 @@ from typing import Iterator
 import numpy as np
 
 from .probability import (
+    ALPHABET,
     PROB_TOL,
     ContextData,
     Distribution,
     JointTable,
     TransitionMatrix,
     ValidationError,
+    _derived,
     _frozen,
     check_reversibility,
     joint_distribution,
-    uniform_distribution,
 )
 
 UNIFORM_TOL = 1e-10
@@ -79,7 +80,8 @@ def spin_transition_matrix(theta_i: float, theta_j: float) -> TransitionMatrix:
         raise ValidationError("angles must be finite")
     c = math.cos(theta_i / 2.0 - theta_j / 2.0) ** 2
     s = 1.0 - c
-    return TransitionMatrix(np.array([[c, s], [s, c]]))
+    # c and s lie in [0, 1] and sum to 1 within an ulp, so no check is needed
+    return _derived(TransitionMatrix, rows=np.array([[c, s], [s, c]]), alphabet=ALPHABET)
 
 
 def covariance(joint: JointTable) -> float:
@@ -129,25 +131,63 @@ class PairwiseSystem:
     def alphabet(self) -> tuple[str, ...]:
         return self.marginal_a.alphabet
 
+    @functools.cached_property
+    def _feasibility(self) -> FeasibilityResult:
+        """:func:`joint_feasibility` of this system, decided once; the
+        witness is read-only, so every caller sees the same one."""
+        k = len(self.alphabet)
+        # chooser-first: the rows of joint_ca are indexed by c
+        tables = np.array((self.joint_ab.entries, self.joint_bc.entries, self.joint_ca.entries))
+        if k == 2:
+            means = tables.sum(axis=2) @ _SIGNS  # a, b, c: chooser-first rows
+            covs = _SIGNS @ tables @ _SIGNS
+            base, lo, hi, feasible = _triple_moment_interval(np.concatenate((means, covs)))
+            # lo - hi <= FEASIBILITY_TOL keeps each midpoint atom >= -FEASIBILITY_TOL / 16,
+            # and the atoms reproduce the joints up to PairwiseSystem's marginal slack
+            x = (base + 0.5 * (lo + hi) * _XYZ) / 8.0 if feasible else None
+        else:
+            cells = tables.ravel()
+            x = _phase1_simplex(
+                _pairwise_constraints(k), cells[_independent_cells(k)], FEASIBILITY_TOL
+            )
+            # the objective bounds the independent rows only: a witness must
+            # also reproduce every other cell, and the total, within tolerance
+            if x is not None and not (
+                np.abs(_cell_constraints(k) @ x - np.append(cells, 1.0)).max() <= FEASIBILITY_TOL
+                and x.min() >= -FEASIBILITY_TOL
+            ):
+                x = None
+        if x is None:
+            return FeasibilityResult(feasible=False, witness=None)
+        x.setflags(write=False)
+        return FeasibilityResult(feasible=True, witness=x.reshape((k, k, k)))
+
 
 def spin_system(theta_a: float, theta_b: float, theta_c: float) -> PairwiseSystem:
     """Pairwise system of three angle-labelled observables with uniform
     marginals and the cos^2-half-angle transitions."""
-    uniform = uniform_distribution()
-    return PairwiseSystem(
+    t_ab = spin_transition_matrix(theta_a, theta_b)
+    t_bc = spin_transition_matrix(theta_b, theta_c)
+    t_ca = spin_transition_matrix(theta_c, theta_a)
+    # uniform times doubly stochastic rows: each joint's marginals are the
+    # uniform ones within an ulp, so neither the marginal nor the system is
+    # checked again
+    uniform = _derived(Distribution, probs=np.full(2, 0.5), alphabet=ALPHABET)
+    return _derived(
+        PairwiseSystem,
         marginal_a=uniform,
         marginal_b=uniform,
         marginal_c=uniform,
-        joint_ab=joint_distribution(uniform, spin_transition_matrix(theta_a, theta_b), ("a", "b")),
-        joint_bc=joint_distribution(uniform, spin_transition_matrix(theta_b, theta_c), ("b", "c")),
-        joint_ca=joint_distribution(uniform, spin_transition_matrix(theta_c, theta_a), ("c", "a")),
+        joint_ab=joint_distribution(uniform, t_ab, ("a", "b")),
+        joint_bc=joint_distribution(uniform, t_bc, ("b", "c")),
+        joint_ca=joint_distribution(uniform, t_ca, ("c", "a")),
     )
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
-    witness: np.ndarray | None  # shape (k, k, k), axes ordered (a, b, c)
+    witness: np.ndarray | None  # shape (k, k, k), axes ordered (a, b, c); read-only
 
 
 @dataclass(frozen=True)
@@ -166,8 +206,8 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | No
     """Find x >= 0 with A x = b (b >= 0) by minimizing artificial slack.
 
     Bland's rule on the original columns only (artificials never re-enter),
-    so the iteration terminates even on the degenerate, rank-deficient
-    systems produced by redundant marginal constraints.
+    so the iteration terminates even on degenerate systems, such as those
+    with zero cells or deterministic joints.
     """
     m, n = A.shape
     T = np.zeros((m + 1, n + 1))
@@ -208,24 +248,41 @@ def _phase1_simplex(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray | No
 
 
 @functools.cache
-def _pairwise_constraints(k: int) -> np.ndarray:
-    """Constraint matrix: rows fix each pairwise cell of the three joints
-    (sums over the remaining observable) plus overall normalization."""
-    n = k**3
-    rows = []
-    atoms = np.arange(n)
+def _independent_cells(k: int) -> np.ndarray:
+    """Mask over the 3 k^2 pairwise cells (ab, bc, ca, each row-major and
+    chooser-first) whose constraints are linearly independent: every ab
+    cell, the bc cells with c < k - 1 and the ca cells with c, a < k - 1,
+    3(k-1)^2 + 3(k-1) + 1 in all.  Each other cell, and the total, is a
+    sum of these up to the marginals the joints share."""
+    inner = np.arange(k) < k - 1
+    mask = np.concatenate(
+        (np.ones(k * k, dtype=bool), np.tile(inner, k), np.outer(inner, inner).ravel())
+    )
+    mask.setflags(write=False)  # cached, so shared read-only
+    return mask
+
+
+@functools.cache
+def _cell_constraints(k: int) -> np.ndarray:
+    """Constraint matrix of the whole pairwise system: one row per cell of
+    the three joints (its atoms sum over the remaining observable), in the
+    order of :func:`_independent_cells`, plus the overall normalization."""
+    atoms = np.arange(k**3)
     i_idx, j_idx, l_idx = atoms // k**2, (atoms // k) % k, atoms % k
-    for i in range(k):
-        for j in range(k):
-            rows.append((i_idx == i) & (j_idx == j))
-    for j in range(k):
-        for l in range(k):
-            rows.append((j_idx == j) & (l_idx == l))
-    for l in range(k):
-        for i in range(k):
-            rows.append((l_idx == l) & (i_idx == i))
-    rows.append(np.ones(n, dtype=bool))
+    rows = [
+        (first == u) & (second == v)
+        for first, second in ((i_idx, j_idx), (j_idx, l_idx), (l_idx, i_idx))
+        for u in range(k)
+        for v in range(k)
+    ]
+    rows.append(np.ones(k**3, dtype=bool))
     return _frozen(rows)  # cached, so shared read-only
+
+
+@functools.cache
+def _pairwise_constraints(k: int) -> np.ndarray:
+    """The linearly independent rows of :func:`_cell_constraints`."""
+    return _frozen(_cell_constraints(k)[:-1][_independent_cells(k)])  # cached, so shared read-only
 
 
 # The 8 atoms of a k = 2 joint in the order of ``witness.ravel()``: atom
@@ -259,23 +316,12 @@ def joint_feasibility(system: PairwiseSystem) -> FeasibilityResult:
     """Decide whether one distribution over the k^3 atoms reproduces all
     three pairwise joints.  Two outcomes: the closed-form triple-moment
     interval, whose midpoint is the witness; more outcomes: exact linear
-    feasibility by the phase-1 simplex (the atom count is exponential in
-    the number of observables, fine for three)."""
-    k = len(system.alphabet)
-    # chooser-first: the rows of joint_ca are indexed by c
-    tables = np.array((system.joint_ab.entries, system.joint_bc.entries, system.joint_ca.entries))
-    if k == 2:
-        means = tables.sum(axis=2) @ _SIGNS  # a, b, c: chooser-first rows
-        covs = _SIGNS @ tables @ _SIGNS
-        base, lo, hi, feasible = _triple_moment_interval(np.concatenate((means, covs)))
-        # lo - hi <= FEASIBILITY_TOL keeps each midpoint atom >= -FEASIBILITY_TOL / 16,
-        # and the atoms reproduce the joints up to PairwiseSystem's marginal slack
-        x = (base + 0.5 * (lo + hi) * _XYZ) / 8.0 if feasible else None
-    else:
-        x = _phase1_simplex(_pairwise_constraints(k), np.append(tables, 1.0), FEASIBILITY_TOL)
-    if x is None:
-        return FeasibilityResult(feasible=False, witness=None)
-    return FeasibilityResult(feasible=True, witness=x.reshape((k, k, k)))
+    feasibility by the phase-1 simplex on the independent cell constraints,
+    whose witness is accepted only if it reproduces every cell within
+    ``FEASIBILITY_TOL`` (the atom count is exponential in the number of
+    observables, fine for three).  Each system is decided once: later calls, and
+    :func:`bell_check`, return the same result, with a read-only witness."""
+    return system._feasibility
 
 
 def bell_check(system: PairwiseSystem) -> BellReport:

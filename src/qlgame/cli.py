@@ -287,9 +287,9 @@ def _write_output(path: Path, pieces: Iterable[str]) -> None:
 
     The text goes to a new file in the target's directory, created with the
     mode ``open(path, "w")`` would give, and replaces the target only once it
-    is complete; on any failure the new file is removed.  A target that
-    exists and is not a regular file (a FIFO, ``/dev/stdout``) is written
-    directly.
+    is complete; on any failure the new file is removed, and one that cannot
+    be created is reported under ``path``.  A target that exists and is not
+    a regular file (a FIFO, ``/dev/stdout``) is written directly.
     """
     if path.exists() and not path.is_file():
         with open(path, "w") as out:
@@ -298,7 +298,11 @@ def _write_output(path: Path, pieces: Iterable[str]) -> None:
     target = path.resolve()  # a symlink keeps pointing at the new file
     temp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(temp, "x") as out:
+        out = open(temp, "x")
+    except OSError as exc:  # a missing directory, say
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with out:
             if target.exists():
                 os.fchmod(out.fileno(), stat.S_IMODE(target.stat().st_mode))
             out.writelines(pieces)

@@ -15,6 +15,11 @@ import numpy as np
 
 # One global tolerance for all stochasticity / consistency checks.
 PROB_TOL = 1e-12
+# Tables of at most this many entries are checked on Python floats, which
+# costs less than numpy's reductions up to about this size (a 2-label
+# Distribution 8.3 -> 4.8 us); larger ones, such as the distribution of a
+# many-label sequence, keep the reductions.
+_SMALL_TABLE = 16
 
 ALPHABET = ("F", "I")
 
@@ -63,12 +68,20 @@ def _probability_table(values, alphabet, ndim: int, noun: str, sum_axis: int | N
         raise ValidationError(
             f"expected {'x'.join(map(str, shape))} {noun}, got shape {arr.shape}"
         )
-    # min and max propagate nan, so nan and inf fail these comparisons too
-    if (
-        arr.min() >= -PROB_TOL
-        and arr.max() <= 1.0 + PROB_TOL
-        and np.abs(arr.sum(axis=sum_axis) - 1.0).max() <= PROB_TOL
-    ):
+    if arr.size <= _SMALL_TABLE:
+        # nan and inf fail every comparison
+        valid = all(-PROB_TOL <= x <= 1.0 + PROB_TOL for x in arr.ravel().tolist()) and all(
+            abs(total - 1.0) <= PROB_TOL
+            for total in arr.sum(axis=sum_axis, keepdims=True).ravel().tolist()
+        )
+    else:
+        # min and max propagate nan, so nan and inf fail these comparisons too
+        valid = (
+            arr.min() >= -PROB_TOL
+            and arr.max() <= 1.0 + PROB_TOL
+            and np.abs(arr.sum(axis=sum_axis) - 1.0).max() <= PROB_TOL
+        )
+    if valid:
         return arr, labels
     raise ValidationError(_table_fault(arr, noun, sum_axis))
 
@@ -92,8 +105,9 @@ def _table_fault(arr: np.ndarray, noun: str, sum_axis: int | None) -> str:
 def _derived(cls, **fields):
     """A ``cls`` table holding ``fields`` as given, with no second check.
 
-    For tables the library computes from tables it has already checked,
-    such as products of a checked marginal and checked rows: their entries
+    For tables (and systems of tables) the library computes from tables it
+    has already checked or by formulas whose values are probabilities, such
+    as products of a checked marginal and checked rows: their entries
     carry the error of their inputs (a product of two tables, each within
     PROB_TOL, may sum to within 2 PROB_TOL of 1), so checking them again
     would refuse data that was accepted.  Array fields are made read-only.
@@ -167,11 +181,16 @@ class ContextData:
             raise ValidationError("all components must share one outcome alphabet")
         forward = self.trans_b_given_a.rows
         backward = self.trans_a_given_b.rows
-        r1 = bool(abs(forward - backward.T).max() <= PROB_TOL)
-        r2 = bool(
-            min(self.marginal_a.probs.min(), self.marginal_b.probs.min(),
-                forward.min(), backward.min()) > 0.0
-        )
+        tables = (self.marginal_a.probs, self.marginal_b.probs, forward, backward)
+        if forward.size <= _SMALL_TABLE:
+            r1 = all(
+                abs(f - b) <= PROB_TOL
+                for f, b in zip(forward.ravel().tolist(), backward.T.ravel().tolist())
+            )
+            r2 = all(x > 0.0 for table in tables for x in table.ravel().tolist())
+        else:
+            r1 = bool(abs(forward - backward.T).max() <= PROB_TOL)
+            r2 = bool(min(table.min() for table in tables) > 0.0)
         object.__setattr__(self, "r1_symmetric", r1)
         object.__setattr__(self, "r2_positive", r2)
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 
 import qlgame as ql
-from qlgame.classicality import FEASIBILITY_TOL, _pairwise_constraints
+from qlgame.classicality import FEASIBILITY_TOL, _independent_cells, _pairwise_constraints
 from qlgame.game import normalize_contexts, part_statistics
 from qlgame.hilbert import NORM_TOL, HilbertError
 from qlgame.probability import PROB_TOL, _frozen, _labels
@@ -394,28 +394,54 @@ def reference_sign_atom_witness(system):
     return (base + 0.5 * (lo + hi) * _XYZ) / 8.0
 
 
+def full_pairwise_constraints(k):
+    """All 3 k^2 + 1 rows of the pairwise system over the k^3 atoms, with
+    axes (a, b, c): one per cell of the chooser-first joints ab, bc, ca
+    (row-major) and the normalization; rank 3(k-1)^2 + 3(k-1) + 1."""
+    atoms = np.arange(k**3)
+    a, b, c = atoms // k**2, (atoms // k) % k, atoms % k
+    rows = [
+        (first == u) & (second == v)
+        for first, second in ((a, b), (b, c), (c, a))
+        for u in range(k)
+        for v in range(k)
+    ]
+    return np.array(rows + [np.ones(k**3, dtype=bool)], dtype=float)
+
+
+def pairwise_cells(system):
+    """The 3 k^2 cells of the chooser-first joints ab, bc, ca, row-major."""
+    joints = (system.joint_ab, system.joint_bc, system.joint_ca)
+    return np.concatenate([joint.entries.ravel() for joint in joints])
+
+
+def full_constraint_rhs(system):
+    """Right-hand side of :func:`full_pairwise_constraints`."""
+    return np.append(pairwise_cells(system), 1.0)
+
+
+def independent_constraint_rhs(system):
+    """Right-hand side of ``_pairwise_constraints``: the independent cells."""
+    return pairwise_cells(system)[_independent_cells(len(system.alphabet))]
+
+
 def reference_joint_feasibility(system):
     """The witness over the k^3 atoms (shape (k, k, k)) or None, from the
-    reference kernels: the closed form held to FEASIBILITY_TOL at k = 2,
-    the reference simplex above."""
+    reference kernels: the closed form at k = 2, the reference simplex on
+    the independent cells above, each held to FEASIBILITY_TOL on every cell
+    and the total."""
     k = len(system.alphabet)
-    A = _pairwise_constraints(k)
-    b = np.concatenate(
-        [
-            system.joint_ab.entries.ravel(),
-            system.joint_bc.entries.ravel(),
-            system.joint_ca.entries.ravel(),
-            [1.0],
-        ]
-    )
     if k == 2:
         x = reference_sign_atom_witness(system)
-        if x is not None and (
-            np.max(np.abs(A @ x - b)) > FEASIBILITY_TOL or np.min(x) < -FEASIBILITY_TOL
-        ):
-            x = None
     else:
-        x = reference_phase1_simplex(A, b, FEASIBILITY_TOL)
+        x = reference_phase1_simplex(
+            _pairwise_constraints(k), independent_constraint_rhs(system), FEASIBILITY_TOL
+        )
+    A, b = full_pairwise_constraints(k), full_constraint_rhs(system)
+    if x is not None and (
+        np.max(np.abs(A @ x - b)) > FEASIBILITY_TOL or np.min(x) < -FEASIBILITY_TOL
+    ):
+        x = None
     return None if x is None else x.reshape((k, k, k))
 
 

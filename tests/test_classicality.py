@@ -1,15 +1,16 @@
+import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
 from helpers import feasibility_interval_oracle
 from qlgame import classicality
-from qlgame.probability import PROB_TOL
+from qlgame.probability import PROB_TOL, _probability_table
 
 VIOLATING_THETAS = (0.0, 2.0 * math.pi / 3.0, math.pi / 3.0)
 
@@ -230,24 +231,12 @@ def _system_from_joints(joint_ab, joint_bc, joint_ca, alphabet=ql.ALPHABET) -> q
     )
 
 
-def _constraint_rhs(system: ql.PairwiseSystem) -> np.ndarray:
-    return np.concatenate(
-        [
-            system.joint_ab.entries.ravel(),
-            system.joint_bc.entries.ravel(),
-            system.joint_ca.entries.ravel(),
-            [1.0],
-        ]
-    )
-
-
-_CONSTRAINTS = {k: classicality._pairwise_constraints(k) for k in (2, 3)}
-
-
 def _simplex_feasible(system: ql.PairwiseSystem) -> bool:
     """Verdict of the phase-1 simplex, which joint_feasibility keeps for k > 2."""
-    A = _CONSTRAINTS[len(system.alphabet)]
-    x = classicality._phase1_simplex(A, _constraint_rhs(system), classicality.FEASIBILITY_TOL)
+    A = classicality._pairwise_constraints(len(system.alphabet))
+    x = classicality._phase1_simplex(
+        A, helpers.independent_constraint_rhs(system), classicality.FEASIBILITY_TOL
+    )
     return x is not None
 
 
@@ -350,7 +339,7 @@ def test_closed_form_matches_simplex_on_grid(rng):
 def test_simplex_matches_linprog_k3(rng):
     optimize = pytest.importorskip("scipy.optimize")
     alphabet = ("F", "I", "S")
-    A = _CONSTRAINTS[3]
+    A = helpers.full_pairwise_constraints(3)
     verdicts = []
     for n in range(80):
         atoms = rng.dirichlet(np.ones(27)).reshape(3, 3, 3)
@@ -360,7 +349,8 @@ def test_simplex_matches_linprog_k3(rng):
         system = _system_from_joints(*joints, alphabet)
         result = ql.joint_feasibility(system)
         reference = optimize.linprog(
-            np.zeros(27), A_eq=A, b_eq=_constraint_rhs(system), bounds=(0, None), method="highs"
+            np.zeros(27), A_eq=A, b_eq=helpers.full_constraint_rhs(system), bounds=(0, None),
+            method="highs",
         )
         assert reference.status in (0, 2)  # solved or infeasible
         assert result.feasible == (reference.status == 0)
@@ -368,6 +358,94 @@ def test_simplex_matches_linprog_k3(rng):
             _assert_witness_matches(result.witness, system)
         verdicts.append(result.feasible)
     assert any(verdicts) and not all(verdicts)
+
+
+_K3 = ("F", "I", "S")
+_PERMUTATIONS = [np.eye(3)[list(p)] for p in itertools.permutations(range(3))]
+_CYCLE = np.roll(np.eye(3), 1, axis=1)
+# the 3-cycle minus its inverse: zero row and column sums, so adding t D to a
+# joint keeps its marginals
+_TWIST = _CYCLE - _CYCLE.T
+# ab = bc = (1 - w) I/3 + w J/9 with ca the cyclic shift is classical exactly
+# for w >= 2/3; at w = 2/3 - d the closest witness misses some cells by d, so
+# 2/3 - 1e-8 and 2/3 - 1e-9 are infeasible and 2/3 - 1e-10 feasible within tol
+_BOUNDARY_WEIGHTS = [
+    0.0, 0.2, 0.5, 0.6, 2 / 3 - 1e-8, 2 / 3 - 1e-9, 2 / 3 - 1e-10, 2 / 3, 0.7, 1.0
+]
+
+
+def _boundary_family(w):
+    mix = lambda m: (1.0 - w) * m / 3.0 + w / 9.0
+    return [mix(np.eye(3)), mix(np.eye(3)), mix(_CYCLE)]
+
+
+@st.composite
+def degenerate_k3_joints(draw):
+    """Chooser-first ab, bc, ca joints of a degenerate k = 3 system: zero
+    cells, deterministic or permutation joints, marginal-preserving twists,
+    or the boundary family above.  Twists and weights come from finite
+    grids, so every drawn system can be replayed."""
+    kind = draw(st.sampled_from(["zero cells", "deterministic", "permutations", "family"]))
+    if kind == "family":
+        joints = _boundary_family(draw(st.sampled_from(_BOUNDARY_WEIGHTS)))
+    elif kind == "permutations":
+        joints = [draw(st.sampled_from(_PERMUTATIONS)) / 3.0 for _ in range(3)]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        atoms = np.zeros(27)
+        if kind == "deterministic":  # one atom, or a mixture of two or three
+            support = rng.choice(27, draw(st.integers(1, 3)), replace=False)
+        else:
+            support = np.flatnonzero(rng.random(27) < draw(st.sampled_from([0.1, 0.3, 0.5])))
+            support = support if support.size else np.arange(27)
+        atoms[support] = rng.dirichlet(np.ones(support.size))
+        atoms = atoms.reshape(3, 3, 3)
+        joints = [atoms.sum(axis=2), atoms.sum(axis=0), atoms.sum(axis=1).T]
+    for t in range(3):
+        # a fraction f of the way from the lowest to the highest twist that
+        # keeps every entry >= 0; both ends empty a cell
+        f = draw(st.sampled_from([None, 0.0, 0.25, 0.5, 0.75, 1.0]))
+        if f is not None:
+            high, low = joints[t][_TWIST < 0].min(), -joints[t][_TWIST > 0].min()
+            joints[t] = joints[t] + (low + f * (high - low)) * _TWIST
+    return joints
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_k3_joints())
+@example(_boundary_family(2 / 3 - 1e-8))  # infeasible
+@example(_boundary_family(2 / 3 - 1e-9))  # infeasible: a cell missed by just over tol
+@example(_boundary_family(2 / 3 - 5e-10))  # feasible: each cell within tol, as for highs
+@example(_boundary_family(2 / 3 - 1e-10))  # feasible within FEASIBILITY_TOL
+def test_degenerate_k3_systems_match_linprog_on_all_rows(joints):
+    optimize = pytest.importorskip("scipy.optimize")
+    system = _system_from_joints(*joints, _K3)
+    result = ql.joint_feasibility(system)
+    A, b = helpers.full_pairwise_constraints(3), helpers.full_constraint_rhs(system)
+    # highs at FEASIBILITY_TOL, so that a tolerance call such as w = 2/3 - 1e-10 is one for both
+    reference = optimize.linprog(
+        np.zeros(27), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": classicality.FEASIBILITY_TOL},
+    )
+    assert reference.status in (0, 2)  # solved or infeasible
+    assert result.feasible == (reference.status == 0)
+    if result.feasible:
+        x = result.witness.ravel()
+        assert np.max(np.abs(A[:-1] @ x - b[:-1])) <= classicality.FEASIBILITY_TOL  # all 27 cells
+        assert x.min() >= -classicality.FEASIBILITY_TOL
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pairwise_constraints_have_full_row_rank(k):
+    A = classicality._pairwise_constraints(k)
+    full = helpers.full_pairwise_constraints(k)
+    rank = 3 * (k - 1) ** 2 + 3 * (k - 1) + 1
+    assert A.shape == (rank, k**3)
+    assert np.linalg.matrix_rank(A) == rank
+    # the kept rows are rows of the full system, and they span all of it
+    assert np.array_equal(classicality._cell_constraints(k), full)
+    assert np.array_equal(A, full[:-1][classicality._independent_cells(k)])
+    assert np.linalg.matrix_rank(np.vstack((A, full))) == rank
 
 
 def test_feasibility_three_outcome_alphabet(rng):
@@ -507,6 +585,46 @@ def test_spin_angles_whose_difference_overflows_are_accepted():
     # 1e308 - (-1e308) overflows, but the half angles subtract to a finite 1e308
     system = ql.spin_system(1e308, -1e308, 0.0)
     assert ql.bell_check(system).cov_ab == pytest.approx(2.0 * math.cos(1e308) ** 2 - 1.0, abs=1e-12)
+
+
+SPIN_ANGLES = st.one_of(
+    st.floats(-1e308, 1e308), st.sampled_from([0.0, math.pi, 2.0943951, 1.0471976])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SPIN_ANGLES, SPIN_ANGLES, SPIN_ANGLES)
+@example(0.0, 2.0943951, 1.0471976)  # the README triple
+@example(0.0, math.pi, 0.0)
+def test_spin_system_tables_pass_the_checks_they_skip(theta_a, theta_b, theta_c):
+    # spin_system builds its tables by formula; the checks would accept each one
+    system = ql.spin_system(theta_a, theta_b, theta_c)
+    parts = [getattr(system, name) for name in (
+        "marginal_a", "marginal_b", "marginal_c", "joint_ab", "joint_bc", "joint_ca")]
+    for marginal in parts[:3]:
+        _probability_table(marginal.probs, marginal.alphabet, 1, "probabilities")
+    for joint in parts[3:]:
+        _probability_table(joint.entries, joint.alphabet, 2, "joint probabilities")
+    for pair in ((theta_a, theta_b), (theta_b, theta_c), (theta_c, theta_a)):
+        trans = ql.spin_transition_matrix(*pair)
+        _probability_table(trans.rows, trans.alphabet, 2, "transition probabilities", sum_axis=1)
+    ql.PairwiseSystem(*parts)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [ql.spin_system(0.3, 1.1, 2.0), ql.spin_system(*VIOLATING_THETAS), _atom_system(
+        np.random.default_rng(0).dirichlet(np.ones(27)).reshape(3, 3, 3), ("F", "I", "S"))],
+    ids=["spin-feasible", "spin-violating", "k3"],
+)
+def test_each_system_is_decided_once(system):
+    result = ql.joint_feasibility(system)
+    assert ql.joint_feasibility(system) is result
+    if len(system.alphabet) == 2:
+        assert ql.bell_check(system).witness is result.witness
+    if result.witness is not None:
+        with pytest.raises(ValueError, match="read-only"):
+            result.witness[0, 0, 0] = 0.5
 
 
 def _three_outcome_system():

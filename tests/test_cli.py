@@ -866,6 +866,15 @@ def test_failed_mode_copy_closes_the_new_file(capsys, monkeypatch, d1_file, tmp_
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d1.json", "rep.json"]
 
 
+@pytest.mark.parametrize("parent, code", [("nodir", errno.ENOENT), ("d1.json", errno.ENOTDIR)])
+def test_output_into_a_missing_directory_names_the_given_path(capsys, d1_file, tmp_path, parent, code):
+    out_path = tmp_path / parent / "out.json"
+    before = sorted(tmp_path.rglob("*"))
+    assert run(capsys, "validate", "--input", d1_file, "--output", out_path) == (
+        2, "", f"error: {OSError(code, os.strerror(code), str(out_path))}\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "qlra", "--input", "/does/not/exist.json")
     assert code == 2

@@ -71,6 +71,23 @@ def test_asymmetric_transitions_flag_r1_false():
     assert not data.r1_symmetric
 
 
+@pytest.mark.parametrize("d", [2, 4, 5, 8])  # 4 and 16 entries per matrix, then 25 and 64
+def test_context_flags_on_either_side_of_the_small_table_size(d, rng):
+    labels = tuple(f"L{i}" for i in range(d))
+    uniform = ql.uniform_distribution(labels)
+    perms = [np.roll(np.eye(d), shift, axis=1) for shift in range(d)]
+    for weights in (rng.dirichlet(np.ones(d)), np.eye(d)[1]):  # positive, then a permutation
+        forward = sum(w * p for w, p in zip(weights, perms))  # doubly stochastic
+        for backward in (forward.T, np.roll(forward.T, 1, axis=0)):
+            data = ql.ContextData(
+                uniform, uniform, ql.TransitionMatrix(forward, labels),
+                ql.TransitionMatrix(backward, labels),
+            )
+            assert data.r1_symmetric == bool(np.abs(forward - backward.T).max() <= PROB_TOL)
+            assert data.r2_positive == bool(min(forward.min(), backward.min()) > 0.0)
+            assert data.r2_positive == (weights.min() > 0.0)
+
+
 def test_joint_distribution_d1(d1):
     joint = ql.joint_distribution(d1.marginal_a, d1.trans_b_given_a)
     assert joint.entries[0, 0] == pytest.approx(1 / 4, abs=1e-15)
@@ -301,8 +318,9 @@ EDGE_ENTRIES = st.one_of(
 def probability_tables(draw):
     """A table normalised along its sum axis; then up to two edge entries,
     each possibly balanced by another entry of its sum so the sum holds;
-    then possibly one entry shifted by 0.5 to 2 PROB_TOL."""
-    n = draw(st.integers(2, 4))
+    then possibly one entry shifted by 0.5 to 2 PROB_TOL.  Square tables
+    of 5 labels are larger than _SMALL_TABLE, so both checks are drawn."""
+    n = draw(st.integers(2, 5))
     ndim = draw(st.sampled_from([1, 2]))
     sum_axis = None if ndim == 1 else draw(st.sampled_from([None, 1]))
     if ndim == 1:
@@ -325,7 +343,7 @@ def probability_tables(draw):
     if draw(st.booleans()):
         sign = draw(st.sampled_from([-1.0, 1.0]))
         groups[draw(group), draw(position)] += sign * draw(st.floats(0.5, 2.0)) * PROB_TOL
-    return table, tuple("FIXY"[:n]), ndim, noun, sum_axis
+    return table, tuple("FIXYZ"[:n]), ndim, noun, sum_axis
 
 
 def _table_outcome(check, *args):
@@ -339,6 +357,10 @@ def _table_outcome(check, *args):
 @settings(max_examples=400, deadline=None)
 @given(probability_tables())
 @example((np.array([1.0 + PROB_TOL, -PROB_TOL]), ("F", "I"), 1, "probabilities", None))
+@example((  # one entry just above 1 + PROB_TOL in a table above _SMALL_TABLE
+    np.vstack(([1.0 + 1.5 * PROB_TOL, -0.5 * PROB_TOL, 0.0, 0.0, 0.0], np.eye(5)[1:])),
+    tuple("FIXYZ"), 2, "transition probabilities", 1,
+))
 def test_table_check_matches_reference(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
