@@ -79,6 +79,9 @@ def _draw_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.nda
 def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> TrialSequence:
     """Draw ``n`` outcomes as a trial sequence tagged with the stream id, one
     variate per outcome, coded over the distribution's alphabet."""
+    n = _integer(n, "n")
+    if n < 0:
+        raise ValidationError("n must be a nonnegative integer")
     idx = _draw_indices(gen.distribution.probs, rng, n)
     return TrialSequence._from_codes(idx, gen.distribution.alphabet, gen.stream_id)
 

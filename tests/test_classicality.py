@@ -379,6 +379,21 @@ def _boundary_family(w):
     return [mix(np.eye(3)), mix(np.eye(3)), mix(_CYCLE)]
 
 
+_TWIST_FRACTIONS = [None, 0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _twisted(joints, fractions):
+    """``joints`` with the twist of each joint set a fraction f of the way
+    from the lowest to the highest twist that keeps every entry >= 0 (both
+    ends empty a cell); a joint whose f is None is kept as it is."""
+    joints = list(joints)
+    for t, f in enumerate(fractions):
+        if f is not None:
+            high, low = joints[t][_TWIST < 0].min(), -joints[t][_TWIST > 0].min()
+            joints[t] = joints[t] + (low + f * (high - low)) * _TWIST
+    return joints
+
+
 @st.composite
 def degenerate_k3_joints(draw):
     """Chooser-first ab, bc, ca joints of a degenerate k = 3 system: zero
@@ -401,14 +416,17 @@ def degenerate_k3_joints(draw):
         atoms[support] = rng.dirichlet(np.ones(support.size))
         atoms = atoms.reshape(3, 3, 3)
         joints = [atoms.sum(axis=2), atoms.sum(axis=0), atoms.sum(axis=1).T]
-    for t in range(3):
-        # a fraction f of the way from the lowest to the highest twist that
-        # keeps every entry >= 0; both ends empty a cell
-        f = draw(st.sampled_from([None, 0.0, 0.25, 0.5, 0.75, 1.0]))
-        if f is not None:
-            high, low = joints[t][_TWIST < 0].min(), -joints[t][_TWIST > 0].min()
-            joints[t] = joints[t] + (low + f * (high - low)) * _TWIST
-    return joints
+    return _twisted(joints, [draw(st.sampled_from(_TWIST_FRACTIONS)) for _ in range(3)])
+
+
+def _highs_status(A, b, tol):
+    """linprog's status for ``A x = b``, ``x >= 0`` at primal tolerance ``tol``:
+    0 solved (feasible), 2 infeasible."""
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.linprog(
+        np.zeros(A.shape[1]), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": tol},
+    ).status
 
 
 @settings(max_examples=200, deadline=None)
@@ -417,22 +435,26 @@ def degenerate_k3_joints(draw):
 @example(_boundary_family(2 / 3 - 1e-9))  # infeasible: a cell missed by just over tol
 @example(_boundary_family(2 / 3 - 5e-10))  # feasible: each cell within tol, as for highs
 @example(_boundary_family(2 / 3 - 1e-10))  # feasible within FEASIBILITY_TOL
+# feasible with atoms and cells off by 5e-10; highs is feasible only from 1e-8
+@example(_twisted(_boundary_family(2 / 3 - 1e-9), [0.75, 0.25, None]))
 def test_degenerate_k3_systems_match_linprog_on_all_rows(joints):
-    optimize = pytest.importorskip("scipy.optimize")
     system = _system_from_joints(*joints, _K3)
     result = ql.joint_feasibility(system)
     A, b = helpers.full_pairwise_constraints(3), helpers.full_constraint_rhs(system)
+    tol = classicality.FEASIBILITY_TOL
     # highs at FEASIBILITY_TOL, so that a tolerance call such as w = 2/3 - 1e-10 is one for both
-    reference = optimize.linprog(
-        np.zeros(27), A_eq=A, b_eq=b, bounds=(0, None), method="highs",
-        options={"primal_feasibility_tolerance": classicality.FEASIBILITY_TOL},
-    )
-    assert reference.status in (0, 2)  # solved or infeasible
-    assert result.feasible == (reference.status == 0)
+    status = _highs_status(A, b, tol)
+    assert status in (0, 2)  # solved or infeasible
+    if result.feasible != (status == 0):
+        # a tolerance call that the two solvers make apart: highs must turn
+        # within a factor of 10 of tol, to the side that ours is on
+        assert _highs_status(A, b, 10.0 * tol if result.feasible else tol / 10.0) == (
+            0 if result.feasible else 2
+        )
     if result.feasible:
         x = result.witness.ravel()
-        assert np.max(np.abs(A[:-1] @ x - b[:-1])) <= classicality.FEASIBILITY_TOL  # all 27 cells
-        assert x.min() >= -classicality.FEASIBILITY_TOL
+        assert np.max(np.abs(A[:-1] @ x - b[:-1])) <= tol  # all 27 cells
+        assert x.min() >= -tol
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])

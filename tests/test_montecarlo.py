@@ -447,6 +447,31 @@ def test_stream_rng_refuses_bad_partitions(value, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (-1, "n must be a nonnegative integer"),
+        (1.5, "n must be an integer, got 1.5"),
+        (2.0, "n must be an integer, got 2.0"),
+        (True, "n must be an integer, got True"),
+        (None, "n must be an integer, got None"),
+    ],
+    ids=["negative", "float", "integral-float", "bool", "none"],
+)
+def test_sample_outcomes_refuses_bad_counts(value, message):
+    gen = ql.GeneratorSpec(ql.uniform_distribution(), "g")
+    with pytest.raises(ql.ValidationError) as info:
+        ql.sample_outcomes(gen, value, ql.stream_rng(1, "g"))
+    assert str(info.value) == message
+
+
+def test_sample_outcomes_accepts_zero_and_numpy_counts():
+    gen = ql.GeneratorSpec(ql.uniform_distribution(), "g")
+    assert len(ql.sample_outcomes(gen, 0, ql.stream_rng(1, "g"))) == 0
+    typed = ql.sample_outcomes(gen, np.int16(8), ql.stream_rng(1, "g"))
+    assert typed.outcomes == ql.sample_outcomes(gen, 8, ql.stream_rng(1, "g")).outcomes
+
+
 def test_stream_rng_accepts_numpy_partitions():
     typed = ql.stream_rng(1, "x", np.int16(1)).random(4)
     assert np.array_equal(typed, ql.stream_rng(1, "x", 1).random(4))

@@ -319,7 +319,8 @@ def probability_tables(draw):
     """A table normalised along its sum axis; then up to two edge entries,
     each possibly balanced by another entry of its sum so the sum holds;
     then possibly one entry shifted by 0.5 to 2 PROB_TOL.  Square tables
-    of 5 labels are larger than _SMALL_TABLE, so both checks are drawn."""
+    of 5 labels hold 25 entries, so tables above 16 entries are drawn too
+    and go through the same check."""
     n = draw(st.integers(2, 5))
     ndim = draw(st.sampled_from([1, 2]))
     sum_axis = None if ndim == 1 else draw(st.sampled_from([None, 1]))
@@ -357,7 +358,7 @@ def _table_outcome(check, *args):
 @settings(max_examples=400, deadline=None)
 @given(probability_tables())
 @example((np.array([1.0 + PROB_TOL, -PROB_TOL]), ("F", "I"), 1, "probabilities", None))
-@example((  # one entry just above 1 + PROB_TOL in a table above _SMALL_TABLE
+@example((  # one entry just above 1 + PROB_TOL in a table of 25 entries
     np.vstack(([1.0 + 1.5 * PROB_TOL, -0.5 * PROB_TOL, 0.0, 0.0, 0.0], np.eye(5)[1:])),
     tuple("FIXYZ"), 2, "transition probabilities", 1,
 ))
