@@ -29,6 +29,7 @@ from .probability import (
     ValidationError,
     _derived,
     _frozen,
+    _one_alphabet,
     check_reversibility,
     joint_distribution,
 )
@@ -112,8 +113,7 @@ class PairwiseSystem:
     def __post_init__(self):
         marginals = (self.marginal_a, self.marginal_b, self.marginal_c)
         joints = (self.joint_ab, self.joint_bc, self.joint_ca)
-        if len({part.alphabet for part in marginals + joints}) != 1:
-            raise ValidationError("all components must share one outcome alphabet")
+        _one_alphabet(marginals + joints)
         entries = np.array([joint.entries for joint in joints])
         # joint t's first observable is marginal t, its second marginal t + 1 (cyclically)
         probs = np.array([m.probs for m in marginals + marginals[:1]])

@@ -53,6 +53,11 @@ class PayoffMatrix:
         object.__setattr__(self, "entries", entries)
 
 
+def _payoff_matrices(*payoffs) -> tuple[PayoffMatrix, ...]:
+    """Each of ``payoffs`` as a PayoffMatrix, in order; one given as such is kept."""
+    return tuple(h if isinstance(h, PayoffMatrix) else PayoffMatrix(h) for h in payoffs)
+
+
 @dataclass(frozen=True)
 class GamePart:
     chooser: str
@@ -318,10 +323,7 @@ def multidim_average(psi, a_basis, b_basis, payoff_part1, payoff_part2) -> float
     sign convention is not checked.
     """
     born_a, born_b, trans = born_tables(psi, a_basis, b_basis)
-    h1, h2 = (
-        h if isinstance(h, PayoffMatrix) else PayoffMatrix(h)
-        for h in (payoff_part1, payoff_part2)
-    )
+    h1, h2 = _payoff_matrices(payoff_part1, payoff_part2)
     w_a, w_b = _born_weights(born_a, born_b, trans)
     return float(_weighted(h1, w_a) + _weighted(h2, w_b))
 

@@ -26,13 +26,19 @@ from .game import (
     GamePart,
     GameSpec,
     PayoffConventionWarning,
-    PayoffMatrix,
     _averages,
+    _payoff_matrices,
     normalize_contexts,
     part_statistics,
 )
 from .hilbert import OrthonormalBasis
-from .probability import Distribution, JointTable, TransitionMatrix, ValidationError
+from .probability import (
+    Distribution,
+    JointTable,
+    TransitionMatrix,
+    ValidationError,
+    joint_distribution,
+)
 from .representation import born_context, born_tables
 
 
@@ -60,6 +66,8 @@ def stream_rng(seed: int, stream_id: str, partition: int = 0) -> np.random.Gener
     seed = _integer(seed, "seed")
     if seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
+    if not isinstance(stream_id, str):
+        raise ValidationError(f"stream_id must be a string, got {stream_id!r}")
     partition = _integer(partition, "partition")
     if partition < 0:
         raise ValidationError("partition must be a nonnegative integer")
@@ -199,7 +207,7 @@ def simulate_game(
         for part in spec.parts:
             marginal, trans = part_statistics(part, pair_contexts)
             looked_up.append((part, marginal, trans))
-            yield marginal.probs[:, None] * trans.rows
+            yield joint_distribution(marginal, trans).entries
 
     analytic = _averages(spec, analytic_tables())
     part_counts = tuple(
@@ -241,10 +249,7 @@ def simulate_multidim(
     paid.  The empirical tester average converges to the analytic double sum."""
     alphabet = tuple(f"o{k}" for k in range(a_basis.dimension))
     context = born_context(born_tables(psi, a_basis, b_basis), alphabet)
-    h1, h2 = (
-        h if isinstance(h, PayoffMatrix) else PayoffMatrix(h)
-        for h in (payoff_part1, payoff_part2)
-    )
+    h1, h2 = _payoff_matrices(payoff_part1, payoff_part2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PayoffConventionWarning)
         spec = GameSpec(

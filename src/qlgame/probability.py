@@ -55,7 +55,9 @@ def _labels(alphabet) -> tuple[str, ...]:
 def _probability_table(values, alphabet, ndim: int, noun: str, sum_axis: int | None = None):
     """``values`` as a read-only array with one axis of ``len(alphabet)``
     per dimension, entries in [0, 1] and sums within PROB_TOL of 1: along
-    ``sum_axis`` when given, else in total.  Returns the array and labels."""
+    ``sum_axis`` when given, else in total.  Returns the array and labels;
+    a refusal names the first entry outside [0, 1] in C order, else the
+    first sum that is off."""
     labels = _labels(alphabet)
     arr = _frozen(values)
     shape = (len(labels),) * ndim
@@ -63,30 +65,20 @@ def _probability_table(values, alphabet, ndim: int, noun: str, sum_axis: int | N
         raise ValidationError(
             f"expected {'x'.join(map(str, shape))} {noun}, got shape {arr.shape}"
         )
-    # nan and inf fail every comparison
-    valid = all(-PROB_TOL <= x <= 1.0 + PROB_TOL for x in arr.ravel().tolist()) and all(
-        abs(total - 1.0) <= PROB_TOL
-        for total in arr.sum(axis=sum_axis, keepdims=True).ravel().tolist()
-    )
-    if valid:
-        return arr, labels
-    raise ValidationError(_table_fault(arr, noun, sum_axis))
-
-
-def _table_fault(arr: np.ndarray, noun: str, sum_axis: int | None) -> str:
-    """Message for a refused table: the first entry outside [0, 1], else
-    the first sum more than PROB_TOL from 1."""
-    # negated so that nan and inf land outside too
-    outside = ~((arr >= -PROB_TOL) & (arr <= 1.0 + PROB_TOL))
-    if outside.any():
-        return f"{noun} must lie in [0, 1], got {arr[outside][0]:.12g}"
-    sums = np.ravel(arr.sum(axis=sum_axis))
-    off = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)[0]
-    what = f"{noun} sum to" if sum_axis is None else f"{noun} row {off} sums to"
-    total = float(sums[off])
-    # 12 significant digits print a sum just past PROB_TOL as 1, so the
-    # deviation itself is what names the fault.
-    return f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
+    for x in arr.ravel().tolist():
+        # nan and inf fail every comparison
+        if not -PROB_TOL <= x <= 1.0 + PROB_TOL:
+            raise ValidationError(f"{noun} must lie in [0, 1], got {x:.12g}")
+    sums = arr.sum(axis=sum_axis, keepdims=True).ravel().tolist()
+    for off, total in enumerate(sums):
+        if not abs(total - 1.0) <= PROB_TOL:
+            what = f"{noun} sum to" if sum_axis is None else f"{noun} row {off} sums to"
+            # 12 significant digits print a sum just past PROB_TOL as 1, so the
+            # deviation itself is what names the fault.
+            raise ValidationError(
+                f"{what} {total:.12g}: sum - 1 = {total - 1.0:.3g}, beyond PROB_TOL = {PROB_TOL:g}"
+            )
+    return arr, labels
 
 
 def _derived(cls, **fields):
@@ -140,6 +132,30 @@ class TransitionMatrix:
         object.__setattr__(self, "alphabet", labels)
 
 
+def _one_alphabet(parts) -> None:
+    if len({part.alphabet for part in parts}) != 1:
+        raise ValidationError("all components must share one outcome alphabet")
+
+
+_CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")
+
+
+def _r2_fault(data: ContextData) -> str | None:
+    """Names the first entry of ``data``'s tables, in ``_CONTEXT_KEYS``
+    order, that is not > 0 (strict positivity, R2); None when there is none."""
+    tables = (
+        data.marginal_a.probs,
+        data.marginal_b.probs,
+        data.trans_b_given_a.rows,
+        data.trans_a_given_b.rows,
+    )
+    for key, table in zip(_CONTEXT_KEYS, tables):
+        for idx, x in enumerate(table.ravel().tolist()):
+            if not x > 0.0:
+                return f"strict positivity (R2) violated: {key} entry {idx} is {x:.12g}"
+    return None
+
+
 @dataclass(frozen=True)
 class ContextData:
     """Marginals and transition matrices of two observables in one context.
@@ -158,24 +174,16 @@ class ContextData:
     r2_positive: bool = field(init=False)
 
     def __post_init__(self):
-        alphabets = {
-            self.marginal_a.alphabet,
-            self.marginal_b.alphabet,
-            self.trans_b_given_a.alphabet,
-            self.trans_a_given_b.alphabet,
-        }
-        if len(alphabets) != 1:
-            raise ValidationError("all components must share one outcome alphabet")
+        parts = (self.marginal_a, self.marginal_b, self.trans_b_given_a, self.trans_a_given_b)
+        _one_alphabet(parts)
         forward = self.trans_b_given_a.rows
         backward = self.trans_a_given_b.rows
-        tables = (self.marginal_a.probs, self.marginal_b.probs, forward, backward)
         r1 = all(
             abs(f - b) <= PROB_TOL
             for f, b in zip(forward.ravel().tolist(), backward.T.ravel().tolist())
         )
-        r2 = all(x > 0.0 for table in tables for x in table.ravel().tolist())
         object.__setattr__(self, "r1_symmetric", r1)
-        object.__setattr__(self, "r2_positive", r2)
+        object.__setattr__(self, "r2_positive", _r2_fault(self) is None)
 
     @property
     def alphabet(self) -> tuple[str, ...]:
@@ -218,9 +226,6 @@ def _document_alphabet(raw: Mapping) -> tuple[str, ...]:
     """The optional ``alphabet`` entry of a mapping read from a file:
     distinct string labels, :data:`ALPHABET` when it is absent."""
     return _labels(_list(raw.get("alphabet", ALPHABET), "alphabet", "string labels", str))
-
-
-_CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")
 
 
 def validate_context_data(raw) -> ContextData:

@@ -29,6 +29,8 @@ from .probability import (
     _derived,
     _frozen,
     _labels,
+    _r2_fault,
+    context_to_json,
 )
 
 TRIGONOMETRIC = "trigonometric"
@@ -107,7 +109,7 @@ def interference_coefficients(data: ContextData) -> np.ndarray:
     """
     _require_two_outcomes(len(data.alphabet), "the interference coefficient formula")
     if not data.r2_positive:
-        raise ValidationError(_zero_entry_message(data))
+        raise ValidationError(_r2_fault(data))
     pa = data.marginal_a.probs
     pb = data.marginal_b.probs
     t = data.trans_b_given_a.rows
@@ -115,23 +117,6 @@ def interference_coefficients(data: ContextData) -> np.ndarray:
     denominator = 2.0 * np.sqrt((pa[:, None] * t).prod(axis=0))
     with np.errstate(divide="ignore", invalid="ignore"):
         return (pb - predicted) / denominator
-
-
-def _zero_entry_message(data: ContextData) -> str:
-    # called only when R2 fails, so some entry of these nan-free tables is <= 0
-    for name, values in (
-        ("marginal_a", data.marginal_a.probs),
-        ("marginal_b", data.marginal_b.probs),
-        ("trans_b_given_a", data.trans_b_given_a.rows),
-        ("trans_a_given_b", data.trans_a_given_b.rows),
-    ):
-        flat = np.atleast_1d(values).ravel()
-        if np.any(flat <= 0.0):
-            idx = int(np.argmax(flat <= 0.0))
-            return (
-                f"strict positivity (R2) violated: {name} entry {idx} is "
-                f"{flat[idx]:.12g}"
-            )
 
 
 def classify_context(lambdas) -> str:
@@ -275,8 +260,6 @@ def _complex_pairs(values) -> list[list[float]]:
 
 
 def representation_to_json(rep: QLRepresentation) -> dict:
-    from .probability import context_to_json
-
     return {
         "lambda": rep.profile.lambdas.tolist(),
         "theta": rep.profile.thetas.tolist(),

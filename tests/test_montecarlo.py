@@ -433,17 +433,21 @@ def test_simulation_accepts_numpy_integers(d1):
 
 
 @pytest.mark.parametrize(
-    "value, message",
+    "args, message",
     [
-        (1.5, "partition must be an integer, got 1.5"),
-        (True, "partition must be an integer, got True"),
-        (-1, "partition must be a nonnegative integer"),
+        ((1, "x", 1.5), "partition must be an integer, got 1.5"),
+        ((1, "x", True), "partition must be an integer, got True"),
+        ((1, "x", -1), "partition must be a nonnegative integer"),
+        # the stream id is refused by name like the seed and partition
+        ((1, 5), "stream_id must be a string, got 5"),
+        ((1, None), "stream_id must be a string, got None"),
+        ((1, b"x"), "stream_id must be a string, got b'x'"),
     ],
-    ids=["float", "bool", "negative"],
+    ids=["float", "bool", "negative", "stream-id-int", "stream-id-none", "stream-id-bytes"],
 )
-def test_stream_rng_refuses_bad_partitions(value, message):
+def test_stream_rng_refuses_bad_partitions(args, message):
     with pytest.raises(ql.ValidationError) as info:
-        ql.stream_rng(1, "x", value)
+        ql.stream_rng(*args)
     assert str(info.value) == message
 
 

@@ -266,6 +266,59 @@ def test_table_errors_name_the_value(build, message):
         build()
 
 
+XYZ = ("x", "y", "z")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # each table holds a second bad entry later in C order
+        (
+            lambda: ql.Distribution([0.5, np.nan, 1.5], XYZ),
+            "probabilities must lie in [0, 1], got nan",
+        ),
+        (
+            lambda: ql.TransitionMatrix([[0.5, 0.5], [np.inf, np.nan]]),
+            "transition probabilities must lie in [0, 1], got inf",
+        ),
+        (
+            lambda: ql.JointTable(("a", "b"), [[0.5, -1e-11], [1.5, 0.0]]),
+            "joint probabilities must lie in [0, 1], got -1e-11",
+        ),
+        # column order would meet -1e-11 first
+        (
+            lambda: ql.TransitionMatrix([[0.5, 1.5], [-1e-11, 0.5]]),
+            "transition probabilities must lie in [0, 1], got 1.5",
+        ),
+        # row 0 is off, but entries are checked before sums
+        (
+            lambda: ql.TransitionMatrix([[0.5, 0.4], [1.5, -0.5]]),
+            "transition probabilities must lie in [0, 1], got 1.5",
+        ),
+        (
+            lambda: ql.TransitionMatrix([[0.5, 0.5, 0.0], [0.5, 0.4, 0.0], [0.0, 0.0, 0.5]], XYZ),
+            "transition probabilities row 1 sums to 0.9: sum - 1 = -0.1, beyond PROB_TOL = 1e-12",
+        ),
+        (
+            lambda: ql.Distribution([0.25, 0.25]),
+            "probabilities sum to 0.5: sum - 1 = -0.5, beyond PROB_TOL = 1e-12",
+        ),
+        (
+            lambda: ql.JointTable(("a", "b"), [[0.5, 0.5], [0.5, 0.5]]),
+            "joint probabilities sum to 2: sum - 1 = 1, beyond PROB_TOL = 1e-12",
+        ),
+    ],
+    ids=[
+        "nan", "inf", "small-negative", "c-order", "range-before-sums",
+        "row-sum", "total", "joint-total",
+    ],
+)
+def test_table_refusal_names_the_first_fault(build, message):
+    with pytest.raises(ql.ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -273,11 +326,15 @@ def test_table_errors_name_the_value(build, message):
             d1.marginal_a, ql.Distribution(d1.marginal_b.probs, ("x", "y")),
             d1.trans_b_given_a, d1.trans_a_given_b),
          "all components must share one outcome alphabet"),
+        (lambda d1: ql.ContextData(
+            d1.marginal_a, d1.marginal_b, d1.trans_b_given_a,
+            ql.TransitionMatrix(d1.trans_a_given_b.rows, ("x", "y"))),
+         "all components must share one outcome alphabet"),
         (lambda d1: ql.joint_distribution(
             d1.marginal_a, ql.TransitionMatrix(d1.trans_b_given_a.rows, ("x", "y"))),
          "marginal and transition matrix use different alphabets"),
     ],
-    ids=["context", "joint"],
+    ids=["context", "context-last-table", "joint"],
 )
 def test_mixed_alphabets_are_refused(d1, build, message):
     with pytest.raises(ql.ValidationError) as info:

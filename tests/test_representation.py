@@ -41,6 +41,31 @@ def test_interference_requires_positivity():
         ql.interference_coefficients(data)
 
 
+@pytest.mark.parametrize(
+    "key, table, message",
+    [
+        ("marginal_a", [1.0, 0.0], "marginal_a entry 1 is 0"),
+        ("marginal_b", [-0.0, 1.0], "marginal_b entry 0 is -0"),
+        ("trans_b_given_a", [[0.5, 0.5], [1.0, 0.0]], "trans_b_given_a entry 3 is 0"),
+        ("trans_a_given_b", [[0.5, 0.5], [-0.0, 1.0]], "trans_a_given_b entry 2 is -0"),
+    ],
+)
+def test_r2_refusal_names_the_first_entry(key, table, message):
+    # the other three tables of D1 are strictly positive
+    data = ql.validate_context_data({**helpers.D1_RAW, key: table})
+    assert not data.r2_positive
+    with pytest.raises(ql.ValidationError) as info:
+        ql.interference_coefficients(data)
+    assert str(info.value) == f"strict positivity (R2) violated: {message}"
+
+
+def test_r2_refusal_takes_the_first_table():
+    raw = {**helpers.D1_RAW, "marginal_b": [1.0, 0.0], "trans_a_given_b": [[0.0, 1.0], [0.5, 0.5]]}
+    with pytest.raises(ql.ValidationError) as info:
+        ql.interference_coefficients(ql.validate_context_data(raw))
+    assert str(info.value) == "strict positivity (R2) violated: marginal_b entry 1 is 0"
+
+
 def test_underflowing_product_is_refused_without_a_warning():
     # p_a(F) p(b|a=F) underflows to 0, so the denominator of lambda vanishes
     data = ql.validate_context_data(dict(helpers.D1_RAW, marginal_a=[5e-324, 1.0]))
