@@ -202,7 +202,7 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_estimate(args) -> dict:
-    if not (math.isfinite(args.window) and 0.0 < args.window <= 1.0):
+    if not 0.0 < args.window <= 1.0:
         raise ValidationError(f"--window must lie in (0, 1], got {args.window!r}")
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise ValidationError(f"--tol must be finite and nonnegative, got {args.tol!r}")

@@ -114,7 +114,10 @@ class StabilizationReport:
 
 def _table(seq: TrialSequence, alphabet: tuple[str, ...]) -> np.ndarray:
     """Position in ``alphabet`` of each label of the sequence's alphabet, -1 if
-    absent; refuses the first absent label, in sequence order, that occurs."""
+    absent; refuses an empty sequence, then the first absent label, in
+    sequence order, that occurs."""
+    if len(seq) == 0:
+        raise ValidationError("empty sequence")
     lookup = {label: k for k, label in enumerate(alphabet)}
     table = np.array([lookup.get(label, -1) for label in seq.alphabet], dtype=np.intp)
     if (table < 0).any() and (unknown := table[seq.codes] < 0).any():
@@ -152,8 +155,6 @@ def estimate_frequencies(
     seq: TrialSequence, alphabet: tuple[str, ...] = ALPHABET
 ) -> Distribution:
     """Relative frequency of each outcome; entries are exact multiples of 1/N."""
-    if len(seq) == 0:
-        raise ValidationError("empty sequence")
     counts = _counts(seq.codes, _table(seq, alphabet), len(alphabet))
     return Distribution(counts / len(seq), alphabet)
 
@@ -162,8 +163,6 @@ def running_frequencies(
     seq: TrialSequence, alphabet: tuple[str, ...] = ALPHABET
 ) -> np.ndarray:
     """Running relative frequencies: row N-1 holds the frequencies after N trials."""
-    if len(seq) == 0:
-        raise ValidationError("empty sequence")
     return _running(_table(seq, alphabet)[seq.codes], np.zeros(len(alphabet)))
 
 

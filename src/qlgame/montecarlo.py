@@ -30,6 +30,7 @@ from .game import (
     _payoff_matrices,
     normalize_contexts,
     part_statistics,
+    total_averages,
 )
 from .hilbert import OrthonormalBasis
 from .probability import (
@@ -37,7 +38,6 @@ from .probability import (
     JointTable,
     TransitionMatrix,
     ValidationError,
-    joint_distribution,
 )
 from .representation import born_context, born_tables
 
@@ -49,11 +49,25 @@ class GeneratorSpec:
     distribution: Distribution
     stream_id: str
 
+    def __post_init__(self):
+        if not isinstance(self.distribution, Distribution):
+            raise ValidationError(f"distribution must be a Distribution, got {self.distribution!r}")
+        _stream_id(self.stream_id)
 
-def _integer(value, name: str) -> int:
+
+def _stream_id(value) -> None:
+    if not isinstance(value, str):
+        raise ValidationError(f"stream_id must be a string, got {value!r}")
+
+
+def _count(value, name: str, least: int) -> int:
     # bool is an Integral, and int() would truncate 1.5 to a different seed
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(
+            f"{name} must be at least {least}" if least else f"{name} must be a nonnegative integer"
+        )
     return int(value)
 
 
@@ -63,14 +77,9 @@ def stream_rng(seed: int, stream_id: str, partition: int = 0) -> np.random.Gener
     The stream id is hashed (SHA-256) into seed words so that label choice,
     not Python's randomized ``hash``, determines the stream.
     """
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
-    if not isinstance(stream_id, str):
-        raise ValidationError(f"stream_id must be a string, got {stream_id!r}")
-    partition = _integer(partition, "partition")
-    if partition < 0:
-        raise ValidationError("partition must be a nonnegative integer")
+    seed = _count(seed, "seed", 0)
+    _stream_id(stream_id)
+    partition = _count(partition, "partition", 0)
     import hashlib  # imported here: it loads OpenSSL, which only seeding needs
 
     digest = hashlib.sha256(stream_id.encode("utf-8")).digest()
@@ -87,9 +96,7 @@ def _draw_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.nda
 def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> TrialSequence:
     """Draw ``n`` outcomes as a trial sequence tagged with the stream id, one
     variate per outcome, coded over the distribution's alphabet."""
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValidationError("n must be a nonnegative integer")
+    n = _count(n, "n", 0)
     idx = _draw_indices(gen.distribution.probs, rng, n)
     return TrialSequence._from_codes(idx, gen.distribution.alphabet, gen.stream_id)
 
@@ -102,12 +109,8 @@ MAX_PARTITIONS = 4096
 
 
 def _partition_sizes(trials: int, partitions: int) -> list[int]:
-    trials = _integer(trials, "trials")
-    partitions = _integer(partitions, "partitions")
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
-    if partitions < 1:
-        raise ValidationError("partitions must be at least 1")
+    trials = _count(trials, "trials", 1)
+    partitions = _count(partitions, "partitions", 1)
     if trials > MAX_TRIALS:
         raise ValidationError(
             f"trials ({trials}) must not exceed 2**63 - 1 = {MAX_TRIALS} "
@@ -199,24 +202,15 @@ def simulate_game(
     the analytic averages."""
     pair_contexts = normalize_contexts(spec, contexts)
     sizes = _partition_sizes(trials, partitions)
-    looked_up = []
-
-    def analytic_tables():
-        # one lookup per part, made as each part is averaged so that
-        # refusals keep their part order
-        for part in spec.parts:
-            marginal, trans = part_statistics(part, pair_contexts)
-            looked_up.append((part, marginal, trans))
-            yield joint_distribution(marginal, trans).entries
-
-    analytic = _averages(spec, analytic_tables())
+    analytic = total_averages(spec, pair_contexts)
+    statistics = [part_statistics(part, pair_contexts) for part in spec.parts]
     part_counts = tuple(
         _simulate_part_counts(f"part{k}:{part.chooser}>{part.tester}", m, t, seed, sizes)
-        for k, (part, m, t) in enumerate(looked_up)
+        for k, (part, (m, t)) in enumerate(zip(spec.parts, statistics))
     )
     joints = tuple(
         JointTable((part.chooser, part.tester), counts / trials, marginal.alphabet)
-        for (part, marginal, _), counts in zip(looked_up, part_counts)
+        for part, (marginal, _), counts in zip(spec.parts, statistics, part_counts)
     )
     empirical = _averages(spec, (joint.entries for joint in joints))
     return SimulationReport(

@@ -7,7 +7,6 @@ import pytest
 
 import qlgame as ql
 import helpers
-from qlgame.game import part_statistics
 from qlgame.montecarlo import report_to_json
 
 
@@ -140,19 +139,13 @@ def test_simulate_game_refuses_parts_in_order(d1):
     assert str(info.value) == "payoff shape (3, 3) does not match joint (2, 2)"
 
 
-def test_simulate_game_looks_up_each_part_once(monkeypatch):
-    contexts = helpers.spin_pair_contexts(0.0, 1.0, 2.0, names=("alice", "bob", "cecilia"))
-    spec = helpers.three_player_spin_spec()
-    calls = []
-
-    def counted(part, pair_contexts):
-        calls.append((part.chooser, part.tester))
-        return part_statistics(part, pair_contexts)
-
-    for module in (ql.game, ql.montecarlo):
-        monkeypatch.setattr(module, "part_statistics", counted)
-    ql.simulate_game(spec, contexts, trials=100, seed=1)
-    assert calls == [(part.chooser, part.tester) for part in spec.parts]
+def test_simulate_game_analytic_averages_are_total_averages(d1):
+    spin = helpers.spin_pair_contexts(0.0, 1.0, 2.0, names=("alice", "bob", "cecilia"))
+    for spec, contexts in ((helpers.zero_sum_spec(), d1), (helpers.three_player_spin_spec(), spin)):
+        report = ql.simulate_game(spec, contexts, trials=100, seed=1)
+        expected = ql.total_averages(spec, contexts)
+        assert report.analytic_averages.part_averages == expected.part_averages
+        assert report.analytic_averages.totals == expected.totals
 
 
 def test_frequency_agreement_with_generator(d1):
@@ -408,6 +401,13 @@ def test_simulation_refuses_non_integer_arguments(d1, rng, name, value):
         assert str(info.value) == f"{name} must be an integer, got {value!r}"
 
 
+def test_simulation_names_trials_before_partitions(d1):
+    # both counts are bad: the trial count is checked in full first
+    with pytest.raises(ql.ValidationError) as info:
+        ql.simulate_game(helpers.zero_sum_spec(), d1, trials=0, seed=1, partitions=1.5)
+    assert str(info.value) == "trials must be at least 1"
+
+
 @pytest.mark.parametrize("name", ["trials", "partitions"])
 def test_simulation_refuses_zero_counts(d1, rng, name):
     basis = helpers.random_orthonormal_basis(2, rng)
@@ -466,6 +466,21 @@ def test_sample_outcomes_refuses_bad_counts(value, message):
     gen = ql.GeneratorSpec(ql.uniform_distribution(), "g")
     with pytest.raises(ql.ValidationError) as info:
         ql.sample_outcomes(gen, value, ql.stream_rng(1, "g"))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (([0.5, 0.5], "x"), "distribution must be a Distribution, got [0.5, 0.5]"),
+        ((ql.uniform_distribution(), 5), "stream_id must be a string, got 5"),
+        ((ql.uniform_distribution(), None), "stream_id must be a string, got None"),
+    ],
+    ids=["distribution-list", "stream-id-int", "stream-id-none"],
+)
+def test_generator_spec_refuses_bad_fields(args, message):
+    with pytest.raises(ql.ValidationError) as info:
+        ql.GeneratorSpec(*args)
     assert str(info.value) == message
 
 
