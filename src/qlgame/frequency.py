@@ -8,6 +8,7 @@ largest oscillation of the running frequencies over a trailing window.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,6 +31,11 @@ def _one_char(labels: Iterable) -> bool:
     return all(type(label) is str and len(label) == 1 for label in labels)
 
 
+def _code_type(k: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds the codes 0 .. k-1."""
+    return np.min_scalar_type(max(k - 1, 0))
+
+
 def _code(labels: Sequence) -> tuple[np.ndarray, tuple]:
     """The labels as (codes, alphabet), the alphabet in order of first appearance.
 
@@ -41,7 +47,8 @@ def _code(labels: Sequence) -> tuple[np.ndarray, tuple]:
     if not _one_char(distinct):
         alphabet = tuple(dict.fromkeys(labels))
         lookup = {label: k for k, label in enumerate(alphabet)}
-        return np.fromiter(map(lookup.__getitem__, labels), np.intp, len(labels)), alphabet
+        codes = np.fromiter(map(lookup.__getitem__, labels), _code_type(len(alphabet)), len(labels))
+        return codes, alphabet
     points = np.sort(np.fromiter(map(ord, distinct), np.uint32, len(distinct)))
     return _code_points(points, np.frombuffer(
         "".join(labels).encode(_UTF32, "surrogatepass"), np.uint32))
@@ -49,33 +56,40 @@ def _code(labels: Sequence) -> tuple[np.ndarray, tuple]:
 
 def _code_points(points: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, tuple]:
     """Code points as (codes, alphabet): ``searchsorted`` onto their sorted
-    distinct ``points``, then remapped in place to first-appearance order."""
-    codes = np.searchsorted(points, values)
-    del values  # a temporary of the caller's is freed here
-    # First position of each point, a block at a time, so that no n-long
-    # position array is built; most sequences show every label in block one.
-    first = np.full(points.size, codes.size)
+    distinct ``points``, then remapped to first-appearance order.
+
+    Both passes go a block at a time into codes of :func:`_code_type`, so no
+    other array as long as the values is built.
+    """
+    codes = np.empty(values.size, _code_type(points.size))
+    # First position of each point, n while unseen; block one usually sees every point.
+    first = np.full(points.size, values.size, _code_type(values.size + 1))
     step = max(_BLOCK, points.size)
-    for start in range(0, codes.size, step):
-        block = codes[start:start + step]
-        np.minimum.at(first, block, np.arange(start, start + block.size))
-        if first.max() < codes.size:
-            break
+    for start in range(0, values.size, step):
+        block = np.searchsorted(points, values[start:start + step])
+        if first.max() == values.size:
+            np.minimum.at(first, block, np.arange(start, start + block.size, dtype=first.dtype))
+        codes[start:start + step] = block
+        del block  # freed before the next block is allocated
+    del values  # a temporary of the caller's is freed here
     order = np.argsort(first)
-    rank = np.empty_like(order)
+    rank = np.empty(order.size, codes.dtype)
     rank[order] = np.arange(order.size)
-    # Remapped in place: clip mode reads each code before it writes that
-    # slot and, unlike the default mode, builds no buffer.
-    np.take(rank, codes, out=codes, mode="clip")
+    for start in range(0, codes.size, _BLOCK):
+        block = codes[start:start + _BLOCK]
+        # clip mode writes straight into ``out``; the default copies it first
+        np.take(rank, block, out=block, mode="clip")
     return codes, tuple(map(chr, points[order].tolist()))
 
 
 class TrialSequence:
     """Ordered outcomes observed under one generating context.
 
-    The labels are mapped once to an integer ``codes`` array over
-    ``alphabet``, the labels in order of first appearance; ``outcomes``
-    rebuilds the label tuple on demand.
+    The labels are mapped once to a read-only ``codes`` array over
+    ``alphabet``, the labels in order of first appearance. The codes take the
+    narrowest unsigned type that holds ``len(alphabet) - 1``: one byte a
+    trial for up to 256 labels. ``outcomes`` rebuilds the label tuple on
+    demand.
     """
 
     def __init__(self, outcomes: Iterable[str], context_tag: str = "C"):
@@ -84,8 +98,10 @@ class TrialSequence:
 
     @classmethod
     def _from_codes(cls, codes: np.ndarray, alphabet: tuple[str, ...], context_tag: str):
+        """A sequence over ``alphabet`` from codes in range, converted to the
+        alphabet's code type (no copy when they have it) and made read-only."""
         seq = cls.__new__(cls)
-        seq._set(np.asarray(codes, dtype=np.intp), tuple(alphabet), context_tag)
+        seq._set(np.asarray(codes, _code_type(len(alphabet))), tuple(alphabet), context_tag)
         return seq
 
     def _set(self, codes: np.ndarray, alphabet: tuple[str, ...], context_tag: str) -> None:
@@ -110,6 +126,16 @@ class StabilizationReport:
     final_frequencies: Distribution
     max_tail_oscillation: float
     stabilized: bool
+
+
+def _sequence(seq) -> None:
+    if not isinstance(seq, TrialSequence):
+        raise ValidationError(f"seq must be a TrialSequence, got {type(seq).__name__}")
+
+
+def _real(value, name: str) -> None:
+    if not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def _table(seq: TrialSequence, alphabet: tuple[str, ...]) -> np.ndarray:
@@ -155,6 +181,7 @@ def estimate_frequencies(
     seq: TrialSequence, alphabet: tuple[str, ...] = ALPHABET
 ) -> Distribution:
     """Relative frequency of each outcome; entries are exact multiples of 1/N."""
+    _sequence(seq)
     counts = _counts(seq.codes, _table(seq, alphabet), len(alphabet))
     return Distribution(counts / len(seq), alphabet)
 
@@ -163,6 +190,7 @@ def running_frequencies(
     seq: TrialSequence, alphabet: tuple[str, ...] = ALPHABET
 ) -> np.ndarray:
     """Running relative frequencies: row N-1 holds the frequencies after N trials."""
+    _sequence(seq)
     return _running(_table(seq, alphabet)[seq.codes], np.zeros(len(alphabet)))
 
 
@@ -178,8 +206,11 @@ def stabilization_report(
     ``window_fraction`` of prefix lengths N and all outcomes beta; the
     sequence counts as stabilized when it does not exceed ``tol``.
     """
+    _sequence(seq)
+    _real(window_fraction, "window_fraction")
     if not 0.0 < window_fraction <= 1.0:
         raise ValidationError("window_fraction must lie in (0, 1]")
+    _real(tol, "tol")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
     n = len(seq)
@@ -226,11 +257,12 @@ def read_sequence(source) -> TrialSequence:
         data = Path(source).read_bytes()
         raw = np.frombuffer(data, np.uint8)
         column = raw[::2]
-        if raw.size and not raw.size % 2 and (raw[1::2] == 10).all() and (column - 0x21 < 0x5E).all():
+        if raw.size and not raw.size % 2 and (raw[1::2] == 10).all():
             seen = np.zeros(256, bool)  # not np.unique: its first call imports numpy.ma
             seen[column] = True
             points = np.flatnonzero(seen).astype(np.uint8)
-            return TrialSequence._from_codes(*_code_points(points, column), "C")
+            if 0x21 <= points[0] and points[-1] <= 0x7E:
+                return TrialSequence._from_codes(*_code_points(points, column), "C")
         source = data.decode("utf-8-sig").splitlines()
         del data, raw, column
     labels = list(filter(None, map(str.strip, source)))

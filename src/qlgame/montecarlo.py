@@ -90,13 +90,15 @@ def stream_rng(seed: int, stream_id: str, partition: int = 0) -> np.random.Gener
 def _draw_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     cum = np.cumsum(probs)
     idx = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(idx, len(cum) - 1)
+    return np.minimum(idx, len(cum) - 1, out=idx)
 
 
 def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> TrialSequence:
     """Draw ``n`` outcomes as a trial sequence tagged with the stream id, one
     variate per outcome, coded over the distribution's alphabet."""
     n = _count(n, "n", 0)
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
     idx = _draw_indices(gen.distribution.probs, rng, n)
     return TrialSequence._from_codes(idx, gen.distribution.alphabet, gen.stream_id)
 

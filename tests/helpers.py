@@ -191,6 +191,11 @@ def reference_codes(labels) -> tuple[list[int], tuple]:
     return [lookup[label] for label in labels], alphabet
 
 
+def reference_code_type(k: int):
+    """The type of the codes of ``k`` distinct labels: one byte for up to 256."""
+    return np.uint8 if k <= 256 else np.uint16
+
+
 # Every boundary ``str.splitlines`` knows, "\r\n" first so that it counts once.
 LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]")
 

@@ -998,6 +998,34 @@ def test_import_loads_no_openssl():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
+# The process's peak resident set size (VmHWM, kB), printed once its work is done.
+PRINT_PEAK_KB = (
+    "print(next(int(line.split()[1]) for line in open('/proc/self/status')"
+    " if line.startswith('VmHWM:')))"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_estimate_peaks_near_the_import_floor(tmp_path):
+    # 5e5 one-character labels take one byte of codes each; with 8-byte codes
+    # estimate peaked ~6.2 MB above the import alone
+    path = tmp_path / "seq.txt"
+    draws = np.random.default_rng(3).integers(0, 2, 500_000)
+    path.write_text("".join(("F\n", "I\n")[k] for k in draws))
+    env = dict(os.environ, PYTHONPATH=str(Path(ql.__file__).parents[1]), PYTHONDONTWRITEBYTECODE="1")
+
+    def peak_mb(work):
+        code = f"import sys, qlgame.cli\ncode = {work}\n{PRINT_PEAK_KB}\nsys.exit(code)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return int(proc.stdout.splitlines()[-1]) / 1024
+
+    floor = peak_mb("0")
+    estimate = peak_mb(f"qlgame.cli.main(['estimate', '--input', {str(path)!r}])")
+    assert estimate - floor < 4.5
+
+
 CONTEXT_KEYS = ("marginal_a", "marginal_b", "trans_b_given_a", "trans_a_given_b")
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import qlgame as ql
 import helpers
@@ -86,6 +86,30 @@ def test_stabilization_bad_tol_errors(tol):
     assert str(info.value) == f"tol must be finite and nonnegative, got {tol!r}"
 
 
+SEQ = ql.TrialSequence(("F", "I") * 20)
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (ql.estimate_frequencies, (["F", "I"],), "seq must be a TrialSequence, got list"),
+        (ql.running_frequencies, (["F"],), "seq must be a TrialSequence, got list"),
+        (ql.stabilization_report, (("F",) * 40, "x"), "seq must be a TrialSequence, got tuple"),
+        (ql.stabilization_report, (SEQ, "x"), "window_fraction must be a real number, got 'x'"),
+        (ql.stabilization_report, (SEQ, None), "window_fraction must be a real number, got None"),
+        (ql.stabilization_report, (SEQ, 0.5, "x"), "tol must be a real number, got 'x'"),
+        # a bad value of the right type is still named first
+        (ql.stabilization_report, (SEQ, 1.5, "x"), "window_fraction must lie in (0, 1]"),
+    ],
+    ids=["estimate-list", "running-list", "stabilization-tuple", "window-str", "window-none",
+         "tol-str", "window-range-before-tol-type"],
+)
+def test_frequency_entry_points_name_bad_argument_types(fn, args, message):
+    with pytest.raises(ql.ValidationError) as info:
+        fn(*args)
+    assert str(info.value) == message
+
+
 def test_running_frequencies_prefixes():
     running = ql.running_frequencies(ql.TrialSequence(("F", "I", "I")))
     assert np.allclose(running, [[1.0, 0.0], [0.5, 0.5], [1 / 3, 2 / 3]])
@@ -130,6 +154,16 @@ def _result(fn, *args):
         return ("error", str(exc))
 
 
+# 256 and 257 distinct labels, the most that one-byte codes hold and one
+# more, each twice in shuffled order: one-character labels take the
+# joined-text coding, the multi-character ones the dictionary.
+WIDE = [
+    [label(0x4E00 + k) for k in np.random.default_rng(n).permutation(np.arange(n).repeat(2))]
+    for n in (256, 257) for label in (chr, str)
+]
+WIDE_POOLS = [tuple(sorted(set(labels))) for labels in WIDE]
+
+
 # 1-3 distinct labels, some outside every requested alphabet, then a
 # sequence of 0-300 of them.
 LABEL_POOLS = st.lists(st.sampled_from(["F", "I", "X", "F I"]), min_size=1, max_size=3, unique=True)
@@ -143,6 +177,13 @@ SEQUENCES = LABEL_POOLS.flatmap(
     alphabet=st.sampled_from([("F", "I"), ("I", "F"), ("F", "I", "X")]),
     window=st.sampled_from([0.01, 0.05, 0.1, 0.37, 1.0]),
 )
+# Wide alphabets: values over every label, then the refusal of a dropped one.
+@example(case=(WIDE_POOLS[0], WIDE[0]), alphabet=WIDE_POOLS[0], window=0.1)
+@example(case=(WIDE_POOLS[1], WIDE[1]), alphabet=WIDE_POOLS[1], window=0.1)
+@example(case=(WIDE_POOLS[2], WIDE[2]), alphabet=WIDE_POOLS[2], window=0.1)
+@example(case=(WIDE_POOLS[3], WIDE[3]), alphabet=WIDE_POOLS[3], window=0.1)
+@example(case=(WIDE_POOLS[1], WIDE[1]), alphabet=WIDE_POOLS[1][1:], window=0.1)
+@example(case=(WIDE_POOLS[2], WIDE[2]), alphabet=WIDE_POOLS[2][:-1], window=0.1)
 def test_code_array_matches_label_reference(case, alphabet, window):
     pool, labels = case
     tol = 0.01
@@ -151,6 +192,8 @@ def test_code_array_matches_label_reference(case, alphabet, window):
     # A code-backed sequence whose alphabet also holds labels that never occur.
     coded = TrialSequence._from_codes(np.array([pool.index(x) for x in labels], dtype=np.intp), pool, "T")
     for seq in (built, coded):
+        assert seq.codes.dtype == helpers.reference_code_type(len(seq.alphabet))
+        assert not seq.codes.flags.writeable
         assert seq.outcomes == tuple(labels) and len(seq) == len(labels)
         want = _result(helpers.reference_estimate, labels, alphabet)
         got = _result(ql.estimate_frequencies, seq, alphabet)
@@ -190,12 +233,16 @@ CODEC_CASES = st.lists(
 
 
 @given(labels=CODEC_CASES, form=st.sampled_from([list, tuple, iter]))
+@example(labels=WIDE[0], form=list)
+@example(labels=WIDE[1], form=tuple)
+@example(labels=WIDE[2], form=iter)
+@example(labels=WIDE[3], form=list)
 def test_codec_matches_dict_reference(labels, form):
     codes, alphabet = helpers.reference_codes(labels)
     seq = TrialSequence(form(labels))
     assert seq.alphabet == alphabet
     assert [type(label) for label in seq.alphabet] == [type(label) for label in alphabet]
-    assert seq.codes.dtype == np.intp and not seq.codes.flags.writeable
+    assert seq.codes.dtype == helpers.reference_code_type(len(alphabet)) and not seq.codes.flags.writeable
     assert seq.codes.tolist() == codes
     assert seq.outcomes == tuple(labels) and len(seq) == len(labels)
 
@@ -237,6 +284,10 @@ READ_LABELS = ["F", "I", "é", "🍷", "F I", "FI", " ", ""]
         max_size=60,
     )
 )
+@example(lines=[("", label, "", "\n") for label in WIDE[0]])
+@example(lines=[(" ", label, "", "\r\n") for label in WIDE[1]])
+@example(lines=[("", label, "\t", "\n") for label in WIDE[2]])
+@example(lines=[("", label, "", "\r") for label in WIDE[3]])
 def test_read_sequence_matches_line_reference(lines):
     text = "".join("".join(line) for line in lines)
     labels = helpers.reference_read_lines(text)
@@ -247,6 +298,8 @@ def test_read_sequence_matches_line_reference(lines):
         read = (read_sequence(path), read_sequence(str(path)), read_sequence(text.splitlines()))
     for seq in read:
         assert seq.outcomes == tuple(labels) and seq.alphabet == alphabet
+        assert seq.codes.dtype == helpers.reference_code_type(len(alphabet))
+        assert not seq.codes.flags.writeable
         assert seq.codes.tolist() == codes
 
 

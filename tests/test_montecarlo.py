@@ -18,8 +18,14 @@ def test_sample_outcome_deterministic_generators():
     assert ql.sample_outcomes(always_i, 20, rng).outcomes == ("I",) * 20
 
 
+def _wide_alphabet(n):
+    """``n`` one-character labels: "a" first, "y" and "z" last."""
+    return ("a", *map(chr, range(0x100, 0x100 + n - 3)), "y", "z")
+
+
 # (probabilities, alphabet, stream, seed, n) -> per-label counts and the
-# first 32 labels, recorded before sequences were stored as code arrays.
+# first 32 labels, recorded before sequences were stored as code arrays
+# (the 256- and 257-letter cases while codes were still intp).
 SAMPLE_PINS = [
     (([0.5, 0.5], ("F", "I"), "fair-coin", 2024, 1000),
      [524, 476], "IFFIFFFIFIIFFIFFIIIIIFFIIIFIFIFF"),
@@ -27,6 +33,10 @@ SAMPLE_PINS = [
      [1499, 3501], "IFIIIIFIIIIIIIIIIIIIFIIIIIFIIIFF"),
     (([0.2, 0.5, 0.3], ("x", "y", "z"), "three", 7, 3000),
      [635, 1469, 896], "yyzxyxxyxyzxyzyyxxyzxyxxxzzyzxzy"),
+    (([0.25] + [0.0] * 254 + [0.75], _wide_alphabet(256), "wide", 5, 2000),
+     [508] + [0] * 254 + [1492], "aaaazzzzaazzazazaazzzzzzzzzzzzzz"),
+    (([0.25] + [0.0] * 254 + [0.25, 0.5], _wide_alphabet(257), "wider", 5, 2000),
+     [550] + [0] * 254 + [473, 977], "yzzaazazzaazzazzyzzzzyyzazyazzzz"),
 ]
 
 
@@ -38,6 +48,11 @@ def test_sample_outcomes_pinned_labels(case, counts, head):
     assert seq.context_tag == stream and len(seq) == n
     assert [seq.outcomes.count(label) for label in alphabet] == counts
     assert "".join(seq.outcomes[:32]) == head
+    assert seq.codes.dtype == helpers.reference_code_type(len(alphabet))
+    assert not seq.codes.flags.writeable
+    assert seq.codes.tolist() == helpers.reference_indices(seq.outcomes, alphabet)
+    want = helpers.reference_estimate(seq.outcomes, alphabet)
+    assert ql.estimate_frequencies(seq, alphabet).probs.tolist() == want
 
 
 def test_sample_outcome_fair_coin_bound():
@@ -467,6 +482,18 @@ def test_sample_outcomes_refuses_bad_counts(value, message):
     with pytest.raises(ql.ValidationError) as info:
         ql.sample_outcomes(gen, value, ql.stream_rng(1, "g"))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("rng", [42, None, np.random.RandomState(1)], ids=["int", "none", "random-state"])
+def test_sample_outcomes_refuses_bad_rng(rng):
+    gen = ql.GeneratorSpec(ql.uniform_distribution(), "g")
+    with pytest.raises(ql.ValidationError) as info:
+        ql.sample_outcomes(gen, 5, rng)
+    assert str(info.value) == f"rng must be a numpy.random.Generator, got {rng!r}"
+    # the count is checked first
+    with pytest.raises(ql.ValidationError) as info:
+        ql.sample_outcomes(gen, -1, rng)
+    assert str(info.value) == "n must be a nonnegative integer"
 
 
 @pytest.mark.parametrize(
