@@ -12,7 +12,7 @@ import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +23,9 @@ DEFAULT_STABILIZATION_TOL = 0.01
 
 
 _UTF32 = "utf-32-le"
-_BLOCK = 1 << 16
+# Trials per block of every frequency kernel and of sampling: a block of
+# intp codes or float64 variates takes 64 KiB.
+_BLOCK = 1 << 13
 
 
 def _one_char(labels: Iterable) -> bool:
@@ -146,9 +148,12 @@ def _table(seq: TrialSequence, alphabet: tuple[str, ...]) -> np.ndarray:
         raise ValidationError("empty sequence")
     lookup = {label: k for k, label in enumerate(alphabet)}
     table = np.array([lookup.get(label, -1) for label in seq.alphabet], dtype=np.intp)
-    if (table < 0).any() and (unknown := table[seq.codes] < 0).any():
-        label = seq.alphabet[seq.codes[int(np.argmax(unknown))]]
-        raise ValidationError(f"outcome {label!r} not in alphabet {alphabet}")
+    if (table < 0).any():
+        for start in range(0, len(seq), _BLOCK):
+            block = seq.codes[start:start + _BLOCK]
+            if (unknown := table[block] < 0).any():
+                label = seq.alphabet[block[int(np.argmax(unknown))]]
+                raise ValidationError(f"outcome {label!r} not in alphabet {alphabet}")
     return table
 
 
@@ -162,19 +167,24 @@ def _counts(codes: np.ndarray, table: np.ndarray, k: int) -> np.ndarray:
     return np.bincount(table[known], own[known], k)
 
 
-def _running(idx: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """Running relative frequencies over ``idx``, continuing from the counts ``before``.
+def _running(codes: np.ndarray, table: np.ndarray, before: np.ndarray) -> Iterator[np.ndarray]:
+    """Running relative frequencies of the positions that ``table`` gives the
+    codes, one block of rows at a time, continuing from the counts ``before``.
 
     The counts are integers, exact in float64, so each row equals the same
-    row computed from trial 1 on.
+    row computed from trial 1 on.  A block is summed as its transpose, one
+    contiguous line per position, and yielded as a view of rows.
     """
-    counts = np.zeros((idx.size, before.size))
-    counts[np.arange(idx.size), idx] = 1.0
-    np.cumsum(counts, axis=0, out=counts)
-    counts += before
-    start = int(before.sum())
-    counts /= np.arange(start + 1, start + idx.size + 1)[:, None]
-    return counts
+    counts = before
+    done = int(before.sum())
+    positions = np.arange(before.size)[:, None]
+    for start in range(0, codes.size, _BLOCK):
+        idx = table[codes[start:start + _BLOCK]]
+        lines = np.cumsum(idx == positions, axis=1, dtype=np.float64)
+        lines += counts[:, None]
+        counts = lines[:, -1].copy()
+        lines /= np.arange(done + start + 1, done + start + idx.size + 1)
+        yield lines.T
 
 
 def estimate_frequencies(
@@ -191,7 +201,12 @@ def running_frequencies(
 ) -> np.ndarray:
     """Running relative frequencies: row N-1 holds the frequencies after N trials."""
     _sequence(seq)
-    return _running(_table(seq, alphabet)[seq.codes], np.zeros(len(alphabet)))
+    table = _table(seq, alphabet)
+    out = np.empty((len(seq), len(alphabet)))
+    blocks = _running(seq.codes, table, np.zeros(len(alphabet)))
+    for start, rows in zip(range(0, len(seq), _BLOCK), blocks):
+        out[start:start + _BLOCK] = rows
+    return out
 
 
 def stabilization_report(
@@ -220,10 +235,12 @@ def stabilization_report(
         )
     start = n - int(n * window_fraction)
     table = _table(seq, alphabet)
-    tail = _running(table[seq.codes[start:]], _counts(seq.codes[:start], table, len(alphabet)))
-    final = tail[-1].copy()
-    tail -= final
-    oscillation = float(np.max(np.abs(tail, out=tail)))
+    before = _counts(seq.codes[:start], table, len(alphabet))
+    final = (before + _counts(seq.codes[start:], table, len(alphabet))) / n
+    oscillation = 0.0
+    for rows in _running(seq.codes[start:], table, before):
+        rows -= final
+        oscillation = max(oscillation, float(np.max(np.abs(rows, out=rows))))
     return StabilizationReport(
         final_frequencies=Distribution(final, alphabet),
         max_tail_oscillation=oscillation,
@@ -241,7 +258,22 @@ def conditional_frequencies(
     Filters the pairs on ``condition == given`` — the selection context for
     that outcome — and estimates frequencies of the results.
     """
-    selected = [result for condition, result in pairs if condition == given]
+    try:
+        selected = [result for condition, result in pairs if condition == given]
+    except (TypeError, ValueError) as exc:
+        # the malformed pair is looked for only here, so the filter costs no more
+        if not isinstance(pairs, (list, tuple)):
+            raise ValidationError(
+                f"pairs must be an iterable of (condition, result) pairs, got {pairs!r}"
+            ) from exc
+        for index, pair in enumerate(pairs):
+            try:
+                _, _ = pair
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"pair {index} must be a (condition, result) pair, got {pair!r}"
+                ) from exc
+        raise
     if not selected:
         raise ValidationError(f"no pair has condition {given!r}")
     return estimate_frequencies(TrialSequence(selected), alphabet)
@@ -265,6 +297,15 @@ def read_sequence(source) -> TrialSequence:
                 return TrialSequence._from_codes(*_code_points(points, column), "C")
         source = data.decode("utf-8-sig").splitlines()
         del data, raw, column
-    labels = list(filter(None, map(str.strip, source)))
+    try:
+        labels = list(filter(None, map(str.strip, source)))
+    except TypeError as exc:
+        # the faulty line is looked for only here, so reading costs no more
+        if isinstance(source, (list, tuple)):
+            index, line = next((i, x) for i, x in enumerate(source) if not isinstance(x, str))
+            raise ValidationError(f"line {index} must be a str, got {line!r}") from exc
+        raise ValidationError(
+            f"source must be a path or an iterable of str lines, got {source!r}"
+        ) from exc
     del source
     return TrialSequence(labels)

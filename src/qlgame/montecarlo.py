@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import TrialSequence
+from .frequency import _BLOCK, TrialSequence, _code_type
 from .game import (
     GameAverages,
     GamePart,
@@ -87,10 +87,16 @@ def stream_rng(seed: int, stream_id: str, partition: int = 0) -> np.random.Gener
     return np.random.default_rng([seed, *words, partition])
 
 
-def _draw_indices(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+def _draw_codes(probs: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` inverse-CDF draws over ``probs`` as codes of :func:`_code_type`,
+    one block of variates at a time: ``Generator.random`` gives the same
+    doubles in pieces as at once."""
     cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(idx, len(cum) - 1, out=idx)
+    codes = np.empty(n, _code_type(cum.size))
+    for start in range(0, n, _BLOCK):
+        idx = np.searchsorted(cum, rng.random(min(_BLOCK, n - start)), side="right")
+        codes[start:start + _BLOCK] = np.minimum(idx, cum.size - 1, out=idx)
+    return codes
 
 
 def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> TrialSequence:
@@ -99,8 +105,8 @@ def sample_outcomes(gen: GeneratorSpec, n: int, rng: np.random.Generator) -> Tri
     n = _count(n, "n", 0)
     if not isinstance(rng, np.random.Generator):
         raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    idx = _draw_indices(gen.distribution.probs, rng, n)
-    return TrialSequence._from_codes(idx, gen.distribution.alphabet, gen.stream_id)
+    codes = _draw_codes(gen.distribution.probs, rng, n)
+    return TrialSequence._from_codes(codes, gen.distribution.alphabet, gen.stream_id)
 
 
 # Counts are int64: a larger total cannot be drawn or stored.

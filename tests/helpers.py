@@ -223,6 +223,20 @@ def reference_indices(outcomes, alphabet) -> list[int]:
     return idx
 
 
+def reference_inverse_cdf(probs, variates) -> list[int]:
+    """One code per variate: the first outcome whose running probability sum
+    exceeds it, the last outcome when none does."""
+    codes = []
+    for u in variates:
+        total = 0.0
+        for k, p in enumerate(probs):
+            total += p
+            if u < total:
+                break
+        codes.append(k)
+    return codes
+
+
 def reference_running(outcomes, alphabet) -> list[list[float]]:
     """Running frequencies one trial at a time: row N-1 after N trials."""
     counts = [0.0] * len(alphabet)

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import qlgame as ql
 import helpers
-from qlgame.frequency import TrialSequence, read_sequence
+from qlgame.frequency import _BLOCK, TrialSequence, read_sequence
 
 
 def test_estimate_counts():
@@ -129,6 +129,41 @@ def test_conditional_frequencies_names_absent_condition(pairs):
     assert str(exc.value) == "no pair has condition 'I'"
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("F",)], "pair 0 must be a (condition, result) pair, got ('F',)"),
+        ([5], "pair 0 must be a (condition, result) pair, got 5"),
+        ((("F", "I"), ("F", "I", "X")), "pair 1 must be a (condition, result) pair, got ('F', 'I', 'X')"),
+        (5, "pairs must be an iterable of (condition, result) pairs, got 5"),
+        (None, "pairs must be an iterable of (condition, result) pairs, got None"),
+    ],
+    ids=["one-label", "int", "triple", "int-pairs", "none-pairs"],
+)
+def test_conditional_frequencies_names_malformed_pair(pairs, message):
+    with pytest.raises(ql.ValidationError) as exc:
+        ql.conditional_frequencies(pairs, given="F")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (5, "source must be a path or an iterable of str lines, got 5"),
+        (None, "source must be a path or an iterable of str lines, got None"),
+        (b"F\n", "source must be a path or an iterable of str lines, got b'F\\n'"),
+        ([1, 2], "line 0 must be a str, got 1"),
+        ([b"F\n"], "line 0 must be a str, got b'F\\n'"),
+        (("F", "I", None), "line 2 must be a str, got None"),
+    ],
+    ids=["int", "none", "bytes", "int-lines", "bytes-line", "none-line"],
+)
+def test_read_sequence_names_bad_source(source, message):
+    with pytest.raises(ql.ValidationError) as exc:
+        read_sequence(source)
+    assert str(exc.value) == message
+
+
 def test_generator_agreement_bound():
     # final frequency within 4*sqrt(p(1-p)/N) of the generator probability
     p = 0.3
@@ -164,6 +199,14 @@ WIDE = [
 WIDE_POOLS = [tuple(sorted(set(labels))) for labels in WIDE]
 
 
+# Sequences that end on either side of a block boundary or run into a third
+# block: "X" first occurs in the second block, and "Y" never occurs.
+_draws = np.random.default_rng(30).integers(0, 2, 2 * _BLOCK + 5)
+ACROSS = [["FI"[k] for k in _draws[:n]] for n in (_BLOCK - 1, _BLOCK, _BLOCK + 1)]
+LATE_X = ["FI"[k] for k in _draws]
+LATE_X[_BLOCK + 7] = LATE_X[_BLOCK + 300] = "X"
+
+
 # 1-3 distinct labels, some outside every requested alphabet, then a
 # sequence of 0-300 of them.
 LABEL_POOLS = st.lists(st.sampled_from(["F", "I", "X", "F I"]), min_size=1, max_size=3, unique=True)
@@ -184,6 +227,17 @@ SEQUENCES = LABEL_POOLS.flatmap(
 @example(case=(WIDE_POOLS[3], WIDE[3]), alphabet=WIDE_POOLS[3], window=0.1)
 @example(case=(WIDE_POOLS[1], WIDE[1]), alphabet=WIDE_POOLS[1][1:], window=0.1)
 @example(case=(WIDE_POOLS[2], WIDE[2]), alphabet=WIDE_POOLS[2][:-1], window=0.1)
+# Block boundaries: values, a label that first occurs in a later block, and
+# one that is absent from the alphabet but never occurs.
+@example(case=(("F", "I"), ACROSS[0]), alphabet=("F", "I"), window=0.1)
+@example(case=(("I", "F"), ACROSS[1]), alphabet=("F", "I"), window=1.0)
+@example(case=(("F", "I"), ACROSS[2]), alphabet=("I", "F"), window=0.1)
+@example(case=(("F", "I", "X"), LATE_X), alphabet=("F", "I", "X"), window=0.1)
+@example(case=(("F", "I", "X"), LATE_X), alphabet=("F", "I", "X"), window=1.0)
+@example(case=(("F", "I", "X"), LATE_X), alphabet=("F", "I"), window=1.0)
+@example(case=(("F", "Y", "I"), ACROSS[2]), alphabet=("F", "I"), window=1.0)
+# Their label-at-a-time references take ~0.1 s, near the default deadline.
+@settings(deadline=None)
 def test_code_array_matches_label_reference(case, alphabet, window):
     pool, labels = case
     tol = 0.01
@@ -191,21 +245,25 @@ def test_code_array_matches_label_reference(case, alphabet, window):
     assert built.alphabet == tuple(dict.fromkeys(labels))
     # A code-backed sequence whose alphabet also holds labels that never occur.
     coded = TrialSequence._from_codes(np.array([pool.index(x) for x in labels], dtype=np.intp), pool, "T")
+    # Both sequences hold the same labels, so the references are taken once.
+    estimate = _result(helpers.reference_estimate, labels, alphabet)
+    running = _result(helpers.reference_running, labels, alphabet)
+    stabilization = _result(helpers.reference_stabilization, labels, window, tol, alphabet)
     for seq in (built, coded):
         assert seq.codes.dtype == helpers.reference_code_type(len(seq.alphabet))
         assert not seq.codes.flags.writeable
         assert seq.outcomes == tuple(labels) and len(seq) == len(labels)
-        want = _result(helpers.reference_estimate, labels, alphabet)
+        want = estimate
         got = _result(ql.estimate_frequencies, seq, alphabet)
         assert got == want if isinstance(want, tuple) else got.probs.tolist() == want
 
-        want = _result(helpers.reference_running, labels, alphabet)
+        want = running
         got = _result(ql.running_frequencies, seq, alphabet)
         assert got == want if isinstance(want, tuple) else (
             got.shape == (len(labels), len(alphabet)) and got.tolist() == want
         )
 
-        want = _result(helpers.reference_stabilization, labels, window, tol, alphabet)
+        want = stabilization
         got = _result(ql.stabilization_report, seq, window, tol, alphabet)
         if want[0] == "error":
             assert got == want
@@ -359,7 +417,16 @@ def test_read_and_count_memory_bounds(tmp_path):
     assert seq.codes.tolist() == draws.tolist() or seq.codes.tolist() == (1 - draws).tolist()
     assert peak <= seq.codes.nbytes + path.stat().st_size + mib
     assert _traced_peak(ql.estimate_frequencies, seq)[1] <= 1.5 * mib
-    # the tail differences are taken in place: one window x k array
-    stabilization_peak = _traced_peak(ql.stabilization_report, seq, 0.1)[1]
-    assert stabilization_peak <= 3 * mib
-    assert stabilization_peak <= 2 * mib
+    # the running frequencies are reduced a block at a time, whatever the window
+    for window in (0.1, 1.0):
+        assert _traced_peak(ql.stabilization_report, seq, window)[1] <= mib
+    # and written a block at a time into the n x k result
+    running, peak = _traced_peak(ql.running_frequencies, seq)
+    assert peak <= running.nbytes + mib
+
+
+def test_sample_outcomes_memory_bound():
+    # 5e5 draws: one byte of codes each, the variates drawn a block at a time
+    gen = ql.GeneratorSpec(ql.Distribution([0.3, 0.7]), "g")
+    seq, peak = _traced_peak(ql.sample_outcomes, gen, 500_000, ql.stream_rng(1, "g"))
+    assert peak <= seq.codes.nbytes + (1 << 20)

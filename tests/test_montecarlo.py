@@ -7,6 +7,7 @@ import pytest
 
 import qlgame as ql
 import helpers
+from qlgame.frequency import _BLOCK
 from qlgame.montecarlo import report_to_json
 
 
@@ -53,6 +54,17 @@ def test_sample_outcomes_pinned_labels(case, counts, head):
     assert seq.codes.tolist() == helpers.reference_indices(seq.outcomes, alphabet)
     want = helpers.reference_estimate(seq.outcomes, alphabet)
     assert ql.estimate_frequencies(seq, alphabet).probs.tolist() == want
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("probs", [[0.3, 0.7], [0.2, 0.5, 0.3]], ids=["two", "three"])
+def test_sample_outcomes_across_blocks_match_one_draw(n, probs):
+    # variates are drawn a block at a time; the codes equal those of one draw
+    alphabet = ("F", "I", "X")[:len(probs)]
+    gen = ql.GeneratorSpec(ql.Distribution(probs, alphabet), "blocks")
+    seq = ql.sample_outcomes(gen, n, ql.stream_rng(3, "blocks"))
+    variates = ql.stream_rng(3, "blocks").random(n)
+    assert seq.codes.tolist() == helpers.reference_inverse_cdf(gen.distribution.probs.tolist(), variates)
 
 
 def test_sample_outcome_fair_coin_bound():
